@@ -8,10 +8,15 @@ error probability after j combined rounds,
           q_{l_0} * prod P_{l_{i-1}, l_i} * eps_j(path SNRs),
 
 the outcome distribution telescopes exactly as in the fixed-SNR case:
-p_0 = 1 - A_1, p_i = A_i - A_{i+1}, p_e = A_m.  Paths are enumerated
-depth-first with running capacity/dispersion sums so each tree node costs
-one kernel evaluation; the node count sum_j L^j is checked against an
-enumeration budget first.
+p_0 = 1 - A_1, p_i = A_i - A_{i+1}, p_e = A_m.
+
+expected_prefix_errors is the one state-path enumeration: a depth-first
+walk that skips zero transitions and carries the kernel's running sums, so
+each tree node costs one step of fbl.round_stepper.  The worst-case node
+count sum_j L^j is checked against an enumeration budget first.
+
+outcomes_fading_mc_check shares only the kernel with it: it samples state
+paths, steps the kernel once per distinct sampled path and needs no budget.
 """
 
 from __future__ import annotations
@@ -22,14 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .fbl import DEFAULT_KERNEL, KernelOptions, q_function
+from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
 from .fsmc import FsmcModel
-from .outcomes import (
-    HarqConfig,
-    OutcomeDistribution,
-    Scheme,
-    distribution_from_prefix_errors,
-)
+from .outcomes import HarqConfig, OutcomeDistribution, distribution_from_prefix_errors
 
 DEFAULT_PATH_BUDGET = 10_000_000
 
@@ -49,64 +49,16 @@ def _check_budget(n_states: int, m: int, budget: int) -> None:
 
 @dataclass(frozen=True)
 class FadingOutcomeQuery:
-    """An HARQ configuration paired with the channel model to evaluate it on."""
+    """An HARQ configuration and the channel model to evaluate it on (SNRs checked)."""
 
     cfg: HarqConfig
     model: FsmcModel
     kernel: KernelOptions = DEFAULT_KERNEL
     path_budget: int = DEFAULT_PATH_BUDGET
 
-
-def _prefix_eps_factory(cfg: HarqConfig, kernel: KernelOptions):
-    """Returns eps(depth, carry) and the carry update for one more round.
-
-    carry is (capacity_sum, dispersion_sum, snr_sum); dispersion is kept in
-    the kernel's units.  For chase combining only the SNR total matters.
-    """
-    n, k = cfg.code.n, cfg.code.k
-    lengths = cfg.round_lengths()
-    scale = kernel.dispersion_scale
-    cum_lengths = []
-    acc = 0
-    for n_i in lengths:
-        acc += n_i
-        cum_lengths.append(acc)
-
-    if cfg.scheme is Scheme.CC:
-
-        def extend(carry, depth, gamma):
-            cap, disp, snr_sum = carry
-            return (0.0, 0.0, snr_sum + gamma)
-
-        def eps(carry, depth):
-            snr_sum = carry[2]
-            v = (1.0 - (1.0 + snr_sum) ** -2) * scale
-            if v == 0.0:
-                return 1.0
-            num = n * math.log2(1.0 + snr_sum) - k + math.log2(n)
-            den = math.sqrt(n * v) if kernel.cc_denominator == "sqrt_nv" else n * math.sqrt(v)
-            return min(1.0, max(0.0, q_function(num / den)))
-
-    else:
-
-        def extend(carry, depth, gamma):
-            cap, disp, snr_sum = carry
-            n_i = lengths[depth]
-            return (
-                cap + n_i * math.log2(1.0 + gamma),
-                disp + n_i * (1.0 - (1.0 + gamma) ** -2),
-                0.0,
-            )
-
-        def eps(carry, depth):
-            cap, disp, _ = carry
-            d = disp * scale
-            if d == 0.0:
-                return 1.0 if cap <= k else 0.0
-            num = cap - k + math.log2(cum_lengths[depth - 1])
-            return min(1.0, max(0.0, q_function(num / math.sqrt(d))))
-
-    return eps, extend
+    def __post_init__(self) -> None:
+        for g in self.model.state_snrs:
+            check_snr(g)
 
 
 def expected_prefix_errors(query: FadingOutcomeQuery) -> tuple[float, ...]:
@@ -114,14 +66,14 @@ def expected_prefix_errors(query: FadingOutcomeQuery) -> tuple[float, ...]:
     cfg, model = query.cfg, query.model
     L, m = model.n_states, cfg.m
     _check_budget(L, m, query.path_budget)
-    eps, extend = _prefix_eps_factory(cfg, query.kernel)
-    P = model.transitions
-    A = [0.0] * (m + 1)
+    step, start = cfg.stepper(query.kernel)
+    P, snrs = model.transitions, model.state_snrs
+    A = [0.0] * m
 
     def walk(state: int, depth: int, prob: float, carry) -> None:
-        carry = extend(carry, depth, model.state_snrs[state])
+        carry, eps = step(carry, depth, snrs[state])
+        A[depth] += prob * eps
         depth += 1
-        A[depth] += prob * eps(carry, depth)
         if depth < m:
             row = P[state]
             for nxt in range(L):
@@ -131,8 +83,8 @@ def expected_prefix_errors(query: FadingOutcomeQuery) -> tuple[float, ...]:
 
     for l0 in range(L):
         if model.q[l0] > 0.0:
-            walk(l0, 0, model.q[l0], (0.0, 0.0, 0.0))
-    return tuple(A[1:])
+            walk(l0, 0, model.q[l0], start)
+    return tuple(A)
 
 
 def outcomes_fading(query: FadingOutcomeQuery) -> OutcomeDistribution:
@@ -154,28 +106,6 @@ class McOutcome:
     trials: int
 
 
-def _prefix_eps_tables(query: FadingOutcomeQuery) -> list[np.ndarray]:
-    """eps_j lookup tables indexed by the state path, one per depth."""
-    cfg, model = query.cfg, query.model
-    L, m = model.n_states, cfg.m
-    _check_budget(L, m, query.path_budget)
-    eps, extend = _prefix_eps_factory(cfg, query.kernel)
-    tables: list[np.ndarray] = []
-
-    def fill(depth: int, carry, index: tuple[int, ...]) -> None:
-        for s in range(L):
-            nxt_carry = extend(carry, depth, model.state_snrs[s])
-            idx = index + (s,)
-            tables[depth][idx] = eps(nxt_carry, depth + 1)
-            if depth + 1 < m:
-                fill(depth + 1, nxt_carry, idx)
-
-    for j in range(1, m + 1):
-        tables.append(np.empty((L,) * j))
-    fill(0, (0.0, 0.0, 0.0), ())
-    return tables
-
-
 def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) -> McOutcome:
     """Monte Carlo replica of outcomes_fading on the same Markov model.
 
@@ -189,7 +119,6 @@ def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) 
         raise DomainError(f"need at least 1e4 trials for stable frequencies, got {trials}")
     cfg, model = query.cfg, query.model
     L, m = model.n_states, cfg.m
-    tables = _prefix_eps_tables(query)
     rng = np.random.default_rng(seed)
 
     q = np.asarray(model.q)
@@ -203,10 +132,21 @@ def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) 
 
     u_decode = rng.random(trials)
     resolved = np.full(trials, m, dtype=np.int64)  # m means residual error
-    for j in range(1, m + 1):
-        eps_j = tables[j - 1][tuple(states[:j])]
-        newly = (resolved == m) & (u_decode >= eps_j)
-        resolved[newly] = j - 1
+    step, start = cfg.stepper(query.kernel)
+    snrs = model.state_snrs
+    # one kernel step per distinct sampled path: a depth-j path is its
+    # depth-(j-1) prefix (an index into the previous distinct paths) and
+    # its last state
+    carries = [start]
+    prefix = np.zeros(trials, dtype=np.int64)
+    for depth in range(m):
+        key = np.ravel_multi_index((prefix, states[depth]), (len(carries), L))
+        distinct, prefix = np.unique(key, return_inverse=True)
+        stepped = [step(carries[i // L], depth, snrs[i % L]) for i in distinct.tolist()]
+        carries = [c for c, _ in stepped]
+        eps = np.array([e for _, e in stepped])[prefix]
+        newly = (resolved == m) & (u_decode >= eps)
+        resolved[newly] = depth
     counts = np.bincount(resolved, minlength=m + 1)
     freq = counts / trials
     p = tuple(float(f) for f in freq[:m])

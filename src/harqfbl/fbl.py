@@ -9,14 +9,20 @@ combining disciplines are covered:
   - incremental redundancy: round i contributes n_i fresh codeword symbols
     at its own SNR, lengthening the effective code.
 
-All probabilities are clamped to [0, 1] after evaluation.
+round_stepper is the one place the Q-function argument is evaluated: it
+adds one round to a running carry and returns the decoder error after it.
+per_cc and per_ir, the outcome distributions, the fading path walk and the
+Monte Carlo simulator all call it.  All probabilities are clamped to [0, 1]
+after evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from enum import Enum
+from typing import Callable, Sequence
 
 from .errors import DomainError
 
@@ -66,14 +72,20 @@ class CodeParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or int(self.n) != self.n:
-            raise DomainError(f"blocklength n must be a positive integer, got {self.n}")
-        if self.k < 1 or int(self.k) != self.k:
-            raise DomainError(f"information length k must be a positive integer, got {self.k}")
+        for name, value in (("blocklength n", self.n), ("information length k", self.k)):
+            # bool is an Integral subclass but never a length
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
     @property
     def rate(self) -> float:
         return self.k / self.n
+
+
+def check_snr(gamma: float) -> None:
+    # written so that NaN fails too; +inf is a valid, error-free SNR
+    if not gamma >= 0.0:
+        raise DomainError(f"SNR must be a nonnegative number, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,7 @@ class TransmissionRecord:
                 f"snrs and lengths must have equal length, got {len(self.snrs)} and {len(self.lengths)}"
             )
         for g in self.snrs:
-            if g < 0.0:
-                raise DomainError(f"SNR must be nonnegative, got {g}")
+            check_snr(g)
         for n_i in self.lengths:
             if n_i < 1 or int(n_i) != n_i:
                 raise DomainError(f"round length must be a positive integer, got {n_i}")
@@ -132,30 +143,76 @@ class KernelOptions:
 DEFAULT_KERNEL = KernelOptions()
 
 
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
+class Scheme(str, Enum):
+    CC = "CC"
+    IR = "IR"
+
+
+def round_stepper(
+    code: CodeParams, lengths: Sequence[int], scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL
+) -> tuple[Callable, object]:
+    """The finite-blocklength kernel as step(carry, depth, gamma) -> (carry, eps).
+
+    step adds round `depth` (0-based), received at SNR gamma, to the carry of
+    the rounds before it and returns the new carry with the decoder error
+    eps after depth + 1 rounds.  Returns (step, carry before any round).
+
+    Chase combining carries the SNR total and repeats the n-symbol codeword;
+    incremental redundancy carries the accumulated capacity and dispersion
+    (the latter in nats^2, scaled at evaluation) of lengths[0..depth].  With
+    zero dispersion the decoder succeeds iff the capacity exceeds k, and an
+    infinite SNR gives eps = 0.  Callers validate the SNRs.
+    """
+    n, k = code.n, code.k
+    scale = kernel.dispersion_scale
+
+    if scheme is Scheme.CC:
+        log2_n = math.log2(n)
+        root_nv = kernel.cc_denominator == "sqrt_nv"
+
+        def step_cc(carry, depth, gamma):
+            gsum = carry + gamma
+            cap = n * math.log2(1.0 + gsum)
+            v = (1.0 - (1.0 + gsum) ** -2) * scale
+            if v == 0.0:
+                return gsum, (1.0 if cap <= k else 0.0)
+            x = (cap - k + log2_n) / (math.sqrt(n * v) if root_nv else n * math.sqrt(v))
+            return gsum, min(1.0, max(0.0, 0.5 * math.erfc(x / _SQRT2)))
+
+        return step_cc, 0.0
+
+    log2_total = []
+    total = 0
+    for n_i in lengths:
+        total += n_i
+        log2_total.append(math.log2(total))
+
+    def step_ir(carry, depth, gamma):
+        n_i = lengths[depth]
+        cap = carry[0] + n_i * math.log2(1.0 + gamma)
+        disp = carry[1] + n_i * (1.0 - (1.0 + gamma) ** -2)
+        d = disp * scale
+        if d == 0.0:
+            return (cap, disp), (1.0 if cap <= k else 0.0)
+        x = (cap - k + log2_total[depth]) / math.sqrt(d)
+        return (cap, disp), min(1.0, max(0.0, 0.5 * math.erfc(x / _SQRT2)))
+
+    return step_ir, (0.0, 0.0)
 
 
 def per_cc(code: CodeParams, snrs: Sequence[float], kernel: KernelOptions = DEFAULT_KERNEL) -> float:
     """PER after chase-combining the given rounds; SNRs add coherently.
 
-    Degenerate case: an all-zero SNR total carries no information, so the
+    The total is summed exactly rounded (math.fsum), so m rounds at g equal
+    one round at g*m.  An all-zero SNR total carries no information, so the
     error probability is 1 for any k >= 1.
     """
     if len(snrs) == 0:
         raise DomainError("per_cc needs at least one transmission")
-    gamma_sum = 0.0
     for g in snrs:
-        if g < 0.0:
-            raise DomainError(f"SNR must be nonnegative, got {g}")
-        gamma_sum += g
-    n, k = code.n, code.k
-    v = (1.0 - (1.0 + gamma_sum) ** -2) * kernel.dispersion_scale
-    if v == 0.0:
-        return 1.0 if n * math.log2(1.0 + gamma_sum) <= k else 0.0
-    num = n * math.log2(1.0 + gamma_sum) - k + math.log2(n)
-    den = math.sqrt(n * v) if kernel.cc_denominator == "sqrt_nv" else n * math.sqrt(v)
-    return _clamp(q_function(num / den))
+        check_snr(g)
+    step, carry = round_stepper(code, (code.n,), Scheme.CC, kernel)
+    return step(carry, 0, math.fsum(snrs))[1]
 
 
 def per_ir(code: CodeParams, record: TransmissionRecord, kernel: KernelOptions = DEFAULT_KERNEL) -> float:
@@ -165,15 +222,7 @@ def per_ir(code: CodeParams, record: TransmissionRecord, kernel: KernelOptions =
     capacity and n_i * v(gamma_i) to the accumulated dispersion; the rate
     penalty uses the total symbol count.
     """
-    cap = 0.0
-    disp = 0.0
-    n_total = 0
-    for g, n_i in zip(record.snrs, record.lengths):
-        cap += n_i * math.log2(1.0 + g)
-        disp += n_i * (1.0 - (1.0 + g) ** -2)
-        n_total += n_i
-    disp *= kernel.dispersion_scale
-    if disp == 0.0:
-        return 1.0 if cap <= code.k else 0.0
-    num = cap - code.k + math.log2(n_total)
-    return _clamp(q_function(num / math.sqrt(disp)))
+    step, carry = round_stepper(code, record.lengths, Scheme.IR, kernel)
+    for depth, g in enumerate(record.snrs):
+        carry, eps = step(carry, depth, g)
+    return eps

@@ -8,8 +8,8 @@ Three independent checks live here:
     J0(2*pi*f_d*tau) and whose envelope tends to Rayleigh as the number of
     oscillators grows;
   - simulate_harq: packet-level HARQ against a fixed SNR or against a
-    fading trace, with per-round error events drawn from the same
-    finite-blocklength kernels the analysis uses;
+    fading trace; each round costs one step of the analysis's kernel,
+    fbl.round_stepper, on the packet's running carry;
   - validate_fsmc: quantises a trace with a model's thresholds and compares
     empirical state occupancies and transitions against the model.
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .fbl import DEFAULT_KERNEL, KernelOptions
+from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
 from .fsmc import FsmcModel
-from .outcomes import HarqConfig, OutcomeDistribution, Scheme
+from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_probs
 from .delay import DelayPmf, single_packet_delay
 
 
@@ -155,50 +155,6 @@ def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int)
     )
 
 
-def _round_eps_stepper(cfg: HarqConfig, kernel: KernelOptions):
-    """Returns step(state, gamma) -> (new_state, eps) for one more round.
-
-    state carries the running (capacity, dispersion, snr_sum) triple so a
-    packet's rounds cost O(1) each in the simulation loop.
-    """
-    n, k = cfg.code.n, cfg.code.k
-    lengths = cfg.round_lengths()
-    scale = kernel.dispersion_scale
-    sqrt2 = math.sqrt(2.0)
-    cc_literal = kernel.cc_denominator == "n_sqrt_v"
-
-    if cfg.scheme is Scheme.CC:
-
-        def step(state, depth, gamma):
-            gsum = state[2] + gamma
-            v = (1.0 - (1.0 + gsum) ** -2) * scale
-            if v == 0.0:
-                return (0.0, 0.0, gsum), 1.0
-            num = n * math.log2(1.0 + gsum) - k + math.log2(n)
-            den = n * math.sqrt(v) if cc_literal else math.sqrt(n * v)
-            eps = 0.5 * math.erfc(num / den / sqrt2)
-            return (0.0, 0.0, gsum), min(1.0, max(0.0, eps))
-
-    else:
-        cum_lengths = []
-        acc = 0
-        for n_i in lengths:
-            acc += n_i
-            cum_lengths.append(acc)
-
-        def step(state, depth, gamma):
-            cap = state[0] + lengths[depth] * math.log2(1.0 + gamma)
-            disp = state[1] + lengths[depth] * (1.0 - (1.0 + gamma) ** -2)
-            d = disp * scale
-            if d == 0.0:
-                return (cap, disp, 0.0), (1.0 if cap <= k else 0.0)
-            num = cap - k + math.log2(cum_lengths[depth])
-            eps = 0.5 * math.erfc(num / math.sqrt(d) / sqrt2)
-            return (cap, disp, 0.0), min(1.0, max(0.0, eps))
-
-    return step
-
-
 def simulate_harq(
     cfg: HarqConfig,
     channel: float | TraceChannel,
@@ -222,9 +178,9 @@ def simulate_harq(
     m = cfg.m
     rng = np.random.default_rng(seed)
 
-    step = _round_eps_stepper(cfg, kernel)
-
     if isinstance(channel, TraceChannel):
+        check_snr(channel.avg_snr)
+        step, start = cfg.stepper(kernel)
         gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
         u = rng.random(packets)
         if packet_start == "iid":
@@ -239,10 +195,10 @@ def simulate_harq(
                     f"trace of {len(gains)} samples exhausted after {i} packets; "
                     f"generate a longer trace"
                 )
-            state = (0.0, 0.0, 0.0)
+            carry = start
             res = m
             for j in range(m):
-                state, eps_j = step(state, j, float(gains[ptr + j]))
+                carry, eps_j = step(carry, j, float(gains[ptr + j]))
                 if u[i] >= eps_j:
                     res = j
                     break
@@ -251,14 +207,7 @@ def simulate_harq(
                 ptr += (res + 1) if res < m else m
         return _result_from_resolution(cfg, resolved, packets)
 
-    gamma = float(channel)
-    if gamma < 0.0:
-        raise DomainError(f"SNR must be nonnegative, got {gamma}")
-    eps = []
-    state = (0.0, 0.0, 0.0)
-    for j in range(m):
-        state, e = step(state, j, gamma)
-        eps.append(e)
+    eps = prefix_error_probs(cfg, float(channel), kernel)
     u = rng.random(packets)
     resolved = np.full(packets, m, dtype=np.int64)
     for j in range(m):

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
+from typing import Callable
 
 from .errors import DomainError, HarqFblError
-from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, TransmissionRecord, per_cc, per_ir
-
-
-class Scheme(str, Enum):
-    CC = "CC"
-    IR = "IR"
+from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_snr, round_stepper
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,10 @@ class HarqConfig:
         """Symbol count per round; tau*n rounded to nearest, floor 1."""
         return tuple(max(1, int(math.floor(t * self.code.n + 0.5))) for t in self.taus)
 
+    def stepper(self, kernel: KernelOptions = DEFAULT_KERNEL) -> tuple[Callable, object]:
+        """The kernel's round stepper for this code, scheme and round lengths."""
+        return round_stepper(self.code, self.round_lengths(), self.scheme, kernel)
+
     def with_taus(self, taus: tuple[float, ...]) -> "HarqConfig":
         return replace(self, taus=taus)
 
@@ -95,15 +94,12 @@ class OutcomeDistribution:
 
 def prefix_error_probs(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DEFAULT_KERNEL) -> tuple[float, ...]:
     """eps_j for j = 1..m rounds, all rounds at the same SNR."""
-    if gamma < 0.0:
-        raise DomainError(f"SNR must be nonnegative, got {gamma}")
-    lengths = cfg.round_lengths()
+    check_snr(gamma)
+    step, carry = cfg.stepper(kernel)
     eps = []
-    for j in range(1, cfg.m + 1):
-        if cfg.scheme is Scheme.CC:
-            eps.append(per_cc(cfg.code, (gamma,) * j, kernel))
-        else:
-            eps.append(per_ir(cfg.code, TransmissionRecord((gamma,) * j, lengths[:j]), kernel))
+    for depth in range(cfg.m):
+        carry, e = step(carry, depth, gamma)
+        eps.append(e)
     return tuple(eps)
 
 

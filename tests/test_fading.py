@@ -8,6 +8,7 @@ from harqfbl import (
     FadingOutcomeQuery,
     FsmcModel,
     HarqConfig,
+    KernelOptions,
     ResourceLimitError,
     Scheme,
     build_fixed_sojourn,
@@ -42,14 +43,21 @@ def ir_cfg(k, taus):
     return HarqConfig(CodeParams(100, k), Scheme.IR, len(taus), tuple(taus))
 
 
+KERNELS = [KernelOptions(), KernelOptions(dispersion_units="bits2"), KernelOptions(cc_denominator="n_sqrt_v")]
+
+
 class TestOutcomesFading:
-    def test_single_state_chain_reduces_to_fixed_snr(self):
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["default", "bits2", "n_sqrt_v"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [ir_cfg(100, (1.0, 0.58)), HarqConfig(CodeParams(100, 100), Scheme.CC, 2, (1.0, 1.0))],
+        ids=["IR", "CC"],
+    )
+    def test_single_state_chain_reduces_to_fixed_snr(self, cfg, kernel):
         gamma = db_to_linear(-1.0)
-        cfg = ir_cfg(100, (1.0, 0.58))
-        fading = outcomes_fading(FadingOutcomeQuery(cfg, single_state_model(gamma)))
-        awgn = outcomes_awgn(cfg, gamma)
-        assert fading.p == pytest.approx(awgn.p, abs=1e-15)
-        assert fading.p_e == pytest.approx(awgn.p_e, abs=1e-15)
+        fading = outcomes_fading(FadingOutcomeQuery(cfg, single_state_model(gamma), kernel))
+        awgn = outcomes_awgn(cfg, gamma, kernel)
+        assert fading == awgn
 
     def test_single_transmission_closed_form(self):
         model = fig4a_model()
@@ -162,6 +170,15 @@ class TestOutcomesFading:
         pe_frozen = outcomes_fading(FadingOutcomeQuery(cfg, frozen)).p_e
         pe_mobile = outcomes_fading(FadingOutcomeQuery(cfg, model)).p_e
         assert pe_frozen >= pe_mobile
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ir_cfg(70, (1.0, 0.6)), HarqConfig(CodeParams(100, 70), Scheme.CC, 2, (1.0, 1.0))],
+        ids=["IR", "CC"],
+    )
+    def test_nan_state_snr_rejected(self, cfg):
+        with pytest.raises(DomainError, match="nan"):
+            FadingOutcomeQuery(cfg, fig4a_model().with_avg_snr(math.nan))
 
     def test_budget_exceeded_raises(self):
         query = FadingOutcomeQuery(ir_cfg(70, (1.0, 0.6)), fig4a_model(), path_budget=10)

@@ -1,8 +1,9 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -97,6 +98,35 @@ class TestSnrConversion:
         assert db_to_linear(linear_to_db(g)) == pytest.approx(g, rel=1e-12)
 
 
+class TestCodeParams:
+    @pytest.mark.parametrize("n", [100, np.int64(100), np.int32(100)])
+    def test_integer_types_accepted(self, n):
+        assert CodeParams(n, 70).rate == 0.7
+
+    @pytest.mark.parametrize(
+        "n, k", [(100.0, 70), (100, 70.0), (True, 1), (100, False), ("100", 70), (0, 1), (10, -1)]
+    )
+    def test_non_integer_types_and_nonpositive_rejected(self, n, k):
+        with pytest.raises(DomainError):
+            CodeParams(n, k)
+
+
+class TestBoundarySnr:
+    def test_infinite_snr_decodes(self):
+        code = CodeParams(100, 70)
+        assert per_cc(code, [math.inf]) == 0.0
+        assert per_cc(code, [0.0, math.inf]) == 0.0
+        assert per_ir(code, TransmissionRecord((math.inf,), (100,))) == 0.0
+        assert per_ir(code, TransmissionRecord((0.0, math.inf), (100, 40))) == 0.0
+
+    def test_nan_snr_rejected(self):
+        code = CodeParams(100, 70)
+        with pytest.raises(DomainError, match="nan"):
+            per_cc(code, [1.0, math.nan])
+        with pytest.raises(DomainError, match="nan"):
+            TransmissionRecord((1.0, math.nan), (100, 40))
+
+
 def _cc_oracle_mp(n, k, gamma_sum, kernel=KernelOptions()):
     g = mp.mpf(gamma_sum)
     v = (1 - (1 + g) ** -2)
@@ -132,6 +162,8 @@ class TestPerCc:
         st.integers(10, 300),
         st.integers(1, 300),
     )
+    # a running sum of six copies of g is one ulp off 6*g
+    @example(m=6, g=53.909533495717966, n=10, k=1)
     def test_equal_snr_rounds_collapse(self, m, g, n, k):
         code = CodeParams(n, k)
         assert per_cc(code, [g] * m) == per_cc(code, [g * m])

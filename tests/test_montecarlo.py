@@ -115,6 +115,15 @@ class TestSimulateAwgn:
         with pytest.raises(DomainError):
             simulate_harq(cfg, 1.0, 10, 0)
 
+    @pytest.mark.parametrize("scheme, taus", [(Scheme.IR, (1.0, 0.5)), (Scheme.CC, (1.0, 1.0))])
+    def test_boundary_snrs(self, scheme, taus):
+        cfg = HarqConfig(CodeParams(100, 70), scheme, 2, taus)
+        assert simulate_harq(cfg, math.inf, 1_000, 0).outcome.p == (1.0, 0.0)
+        with pytest.raises(DomainError, match="nan"):
+            simulate_harq(cfg, math.nan, 1_000, 0)
+        with pytest.raises(DomainError, match="nan"):
+            simulate_harq(cfg, TraceChannel(generate_trace(100.0, 1e-4, 10, 0), math.nan), 1_000, 0)
+
 
 @pytest.fixture(scope="module")
 def fading_setup():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,17 @@ class TestOutcomesAwgn:
         assert out.p[0] == pytest.approx(1.0, abs=1e-12)
         assert out.p[1] == pytest.approx(0.0, abs=1e-12)
         assert out.p_e == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [make_ir(100, 70, [1.0, 0.5]), make_cc(100, 70, 2)], ids=["IR", "CC"])
+    def test_infinite_snr_decodes(self, cfg):
+        out = outcomes_awgn(cfg, math.inf)
+        assert out.p == (1.0, 0.0)
+        assert out.p_e == 0.0
+
+    @pytest.mark.parametrize("cfg", [make_ir(100, 70, [1.0, 0.5]), make_cc(100, 70, 2)], ids=["IR", "CC"])
+    def test_nan_snr_rejected(self, cfg):
+        with pytest.raises(DomainError, match="nan"):
+            prefix_error_probs(cfg, math.nan)
 
     def test_residual_error_is_final_prefix_per(self):
         g = db_to_linear(-1.0)
