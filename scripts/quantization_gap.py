@@ -51,7 +51,8 @@ def run(snr_db: float, tau1: float, k: int, packets: int, seed: int) -> None:
     ]
     for name, a, c, t in rows:
         print(f"{name:12}{a:14.6g}{c:14.6g}{t:14.6g}")
-    print(f"{'throughput':12}{throughput(cfg, analytic):14.6g}{'':14}{sim.throughput:14.6g}")
+    print(f"{'throughput':12}{throughput(cfg, analytic):14.6g}{chain.throughput:14.6g}"
+          f"{sim.throughput:14.6g}")
     if analytic.p_e > 0:
         print(f"trace/analytic residual-error ratio: {sim.outcome.p_e / analytic.p_e:.1f}")
 

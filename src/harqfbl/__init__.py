@@ -30,7 +30,6 @@ from .outcomes import (
     throughput,
 )
 from .fsmc import (
-    DopplerSpec,
     FsmcModel,
     build_equal_duration,
     build_fixed_sojourn,
@@ -38,18 +37,14 @@ from .fsmc import (
     level_crossing_rate,
     marginal_probability,
     state_snr,
-    validate_tb_bound,
 )
 from .fading import (
     FadingOutcomeQuery,
-    McOutcome,
     outcomes_fading,
-    outcomes_fading_mc_check,
 )
 from .delay import (
     DelayPmf,
     binomial_stream_delay,
-    delay_ccdf,
     overhead_ccdf,
     single_packet_delay,
     stream_delay,
@@ -59,8 +54,10 @@ from .optimize import (
     FINE_TAU_GRID,
     OptimizationProblem,
     OptimizationReport,
+    at_snr,
     optimize_tau1,
     optimize_tau12,
+    outcome_on,
     sweep,
 )
 from .montecarlo import (
@@ -68,9 +65,8 @@ from .montecarlo import (
     SimResult,
     TraceChannel,
     generate_trace,
-    save_trace,
+    outcomes_fading_mc_check,
     simulate_harq,
-    trace_csv_lines,
     validate_fsmc,
 )
 

@@ -26,7 +26,6 @@ from typing import Any
 from .config import config_header_lines, require, resolve_config
 from .delay import overhead_ccdf, single_packet_delay, stream_delay
 from .errors import ConfigError, ConstructionError, HarqFblError, ResourceLimitError, ValidationFailure
-from .fading import FadingOutcomeQuery, outcomes_fading
 from .fbl import CodeParams, KernelOptions, db_to_linear
 from .fsmc import FsmcModel, build_equal_duration, build_fixed_sojourn
 from .montecarlo import TraceChannel, generate_trace, simulate_harq, validate_fsmc
@@ -34,11 +33,14 @@ from .optimize import (
     COARSE_TAU_GRID,
     FINE_TAU_GRID,
     OptimizationProblem,
+    at_snr,
+    check_tau_grid,
+    outcome_on,
     reports_csv_lines,
     reports_to_json,
     sweep,
 )
-from .outcomes import HarqConfig, Scheme, outcomes_awgn, throughput
+from .outcomes import HarqConfig, Scheme, throughput
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +62,9 @@ def _tau_grid(cfg: dict[str, Any]) -> tuple[float, ...]:
         return COARSE_TAU_GRID
     if grid == "fine":
         return FINE_TAU_GRID
-    return tuple(grid)
+    grid = tuple(grid)
+    check_tau_grid(grid)
+    return grid
 
 
 def _harq_config(cfg: dict[str, Any], k: int | None = None, taus: tuple[float, ...] | None = None,
@@ -88,15 +92,11 @@ def _build_model(cfg: dict[str, Any], avg_snr_db: float) -> FsmcModel:
     return build_equal_duration(cfg["L"], cfg["f_d_hz"], cfg["t_tb_s"], avg)
 
 
-def _evaluate_point(cfg_dict: dict[str, Any], harq: HarqConfig, snr_db: float,
-                    model: FsmcModel | None, kernel: KernelOptions) -> tuple[float, float]:
-    if cfg_dict.get("channel", "awgn") == "fading":
-        assert model is not None
-        query = FadingOutcomeQuery(harq, model.with_avg_snr(db_to_linear(snr_db)), kernel)
-        outcome = outcomes_fading(query)
-    else:
-        outcome = outcomes_awgn(harq, db_to_linear(snr_db), kernel)
-    return outcome.p_e, throughput(harq, outcome)
+def _channel(cfg: dict[str, Any], snr_db: float) -> float | FsmcModel:
+    """The configured fading model at snr_db, or the linear SNR itself."""
+    if cfg.get("channel") == "fading":
+        return _build_model(cfg, snr_db)
+    return db_to_linear(snr_db)
 
 
 def _out_path(cfg: dict[str, Any], command: str, ext: str) -> Path:
@@ -143,9 +143,10 @@ def cmd_per_curve(cfg: dict[str, Any]) -> int:
     if ks is None:
         require(cfg, "k")
         ks = [cfg["k"]]
-    model = _build_model(cfg, cfg["snr_db"][0]) if cfg.get("channel") == "fading" else None
+    channel = _channel(cfg, cfg["snr_db"][0])
     rows: list[list[Any]] = []
     for snr_db in cfg["snr_db"]:
+        point = at_snr(channel, snr_db)
         for k in ks:
             if cfg.get("scheme", "IR") == "CC":
                 taus_list = [(1.0,) * cfg["m"]]
@@ -153,8 +154,9 @@ def cmd_per_curve(cfg: dict[str, Any]) -> int:
                 taus_list = [(1.0, *([t] * (cfg["m"] - 1))) for t in grid]
             for taus in taus_list:
                 harq = _harq_config(cfg, k=k, taus=taus)
-                per, tp = _evaluate_point(cfg, harq, snr_db, model, kernel)
-                rows.append([snr_db, k, taus[-1], per, _log10(per), tp])
+                out = outcome_on(harq, point, kernel)
+                tp = throughput(harq, out)
+                rows.append([snr_db, k, taus[-1], out.p_e, _log10(out.p_e), tp])
     path = _write_table(cfg, "per_curve", ["snr_db", "k", "tau1", "per", "log10_per", "throughput"], rows)
     print(path)
     return EXIT_OK
@@ -166,16 +168,18 @@ def cmd_per_surface(cfg: dict[str, Any]) -> int:
         raise ConfigError("per-surface requires m = 3")
     kernel = _kernel(cfg)
     grid = _tau_grid(cfg)
-    model = _build_model(cfg, cfg["snr_db"][0]) if cfg.get("channel") == "fading" else None
+    channel = _channel(cfg, cfg["snr_db"][0])
     rows: list[list[Any]] = []
     for snr_db in cfg["snr_db"]:
+        point = at_snr(channel, snr_db)
         for t1 in grid:
             for t2 in grid:
                 if t2 > t1:
                     continue
                 harq = _harq_config(cfg, taus=(1.0, t1, t2))
-                per, tp = _evaluate_point(cfg, harq, snr_db, model, kernel)
-                rows.append([snr_db, cfg["k"], t1, t2, per, _log10(per), tp])
+                out = outcome_on(harq, point, kernel)
+                tp = throughput(harq, out)
+                rows.append([snr_db, cfg["k"], t1, t2, out.p_e, _log10(out.p_e), tp])
     path = _write_table(
         cfg, "per_surface",
         ["snr_db", "k", "tau1", "tau2", "per", "log10_per", "throughput"], rows,
@@ -188,8 +192,7 @@ def cmd_delay(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "n", "m")
     kernel = _kernel(cfg)
     n_packets = cfg.get("n_packets", 1000)
-    snr_db = cfg["snr_db"][0]
-    model = _build_model(cfg, snr_db) if cfg.get("channel") == "fading" else None
+    channel = _channel(cfg, cfg["snr_db"][0])
     schemes = cfg.get("schemes", [cfg.get("scheme", "IR")])
     ks = cfg.get("k_list")
     if ks is None:
@@ -199,13 +202,7 @@ def cmd_delay(cfg: dict[str, Any]) -> int:
     for scheme in schemes:
         for k in ks:
             harq = _harq_config(cfg, k=k, scheme=scheme)
-            if cfg.get("channel") == "fading":
-                assert model is not None
-                outcome = outcomes_fading(
-                    FadingOutcomeQuery(harq, model.with_avg_snr(db_to_linear(snr_db)), kernel)
-                )
-            else:
-                outcome = outcomes_awgn(harq, db_to_linear(snr_db), kernel)
+            outcome = outcome_on(harq, channel, kernel)
             stream = stream_delay(single_packet_delay(harq, outcome), n_packets)
             for x, tail in overhead_ccdf(stream, n_packets):
                 rows.append([scheme, str(k), harq.taus[-1], x, tail])
@@ -251,10 +248,7 @@ def cmd_optimize(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "k", "n", "m", "zeta0")
     kernel = _kernel(cfg)
     harq = _harq_config(cfg, taus=(1.0,) * cfg["m"], scheme="IR")
-    if cfg.get("channel") == "fading":
-        channel: float | FsmcModel = _build_model(cfg, cfg["snr_db"][0])
-    else:
-        channel = db_to_linear(cfg["snr_db"][0])
+    channel = _channel(cfg, cfg["snr_db"][0])
     problem = OptimizationProblem(
         cfg_base=harq,
         channel=channel,
@@ -277,22 +271,19 @@ def cmd_simulate(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "k", "n", "m", "packets")
     kernel = _kernel(cfg)
     harq = _harq_config(cfg)
-    snr_db = cfg["snr_db"][0]
     seed = cfg.get("seed", 0)
-    if cfg.get("channel") == "fading":
-        model = _build_model(cfg, snr_db)
+    channel = _channel(cfg, cfg["snr_db"][0])
+    sim_channel: float | TraceChannel = channel
+    if isinstance(channel, FsmcModel):
         trace = generate_trace(
-            model.f_d,
-            model.t_tb,
+            channel.f_d,
+            channel.t_tb,
             cfg["packets"] * harq.m + harq.m,
             seed,
             cfg.get("oscillators", 64),
         )
-        sim_channel: float | TraceChannel = TraceChannel(trace, model.avg_snr)
-        analytic = outcomes_fading(FadingOutcomeQuery(harq, model, kernel))
-    else:
-        sim_channel = db_to_linear(snr_db)
-        analytic = outcomes_awgn(harq, db_to_linear(snr_db), kernel)
+        sim_channel = TraceChannel(trace, channel.avg_snr)
+    analytic = outcome_on(harq, channel, kernel)
     result = simulate_harq(
         harq, sim_channel, cfg["packets"], seed, kernel, cfg.get("packet_start", "continuous")
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -196,11 +195,6 @@ def _suffix_tails(mass: tuple[float, ...]) -> list[float]:
     return tails
 
 
-def delay_ccdf(pmf: DelayPmf) -> list[tuple[float, float]]:
-    """(delay, P(total delay > delay)) evaluated at each support point."""
-    return [(float(d), t) for d, t in zip(pmf.support, _suffix_tails(pmf.mass))]
-
-
 def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]:
     """Tail distribution of the per-packet delay overhead (d - N) / N.
 
@@ -224,15 +218,3 @@ def ccdf_at(curve: list[tuple[float, float]], x: float, total: float = 1.0) -> f
         else:
             break
     return result
-
-
-def pmf_csv_lines(pmf: DelayPmf) -> Iterable[str]:
-    yield "delay,probability"
-    for d, m in zip(pmf.support, pmf.mass):
-        yield f"{float(d):.12g},{m:.12g}"
-
-
-def ccdf_csv_lines(curve: list[tuple[float, float]]) -> Iterable[str]:
-    yield "overhead,ccdf"
-    for x, t in curve:
-        yield f"{x:.12g},{t:.12g}"

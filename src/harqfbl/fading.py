@@ -13,20 +13,15 @@ p_0 = 1 - A_1, p_i = A_i - A_{i+1}, p_e = A_m.
 expected_prefix_errors is the one state-path enumeration: a depth-first
 walk that skips zero transitions and carries the kernel's running sums, so
 each tree node costs one step of fbl.round_stepper.  The worst-case node
-count sum_j L^j is checked against an enumeration budget first.
-
-outcomes_fading_mc_check shares only the kernel with it: it samples state
-paths, steps the kernel once per distinct sampled path and needs no budget.
+count sum_j L^j is checked against an enumeration budget first.  Its
+sampled counterpart, montecarlo.outcomes_fading_mc_check, needs no budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, ResourceLimitError
+from .errors import ResourceLimitError
 from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
 from .fsmc import FsmcModel
 from .outcomes import HarqConfig, OutcomeDistribution, distribution_from_prefix_errors
@@ -94,63 +89,3 @@ def outcomes_fading(query: FadingOutcomeQuery) -> OutcomeDistribution:
     that state's SNR.
     """
     return distribution_from_prefix_errors(expected_prefix_errors(query))
-
-
-@dataclass(frozen=True)
-class McOutcome:
-    """Empirical outcome frequencies with binomial standard errors."""
-
-    outcome: OutcomeDistribution
-    stderr: tuple[float, ...]
-    stderr_p_e: float
-    trials: int
-
-
-def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) -> McOutcome:
-    """Monte Carlo replica of outcomes_fading on the same Markov model.
-
-    Samples first-round states from q, walks the chain with the transition
-    matrix, and resolves each packet against its path's running decoder
-    error probabilities using a single uniform draw (the nested-failure
-    coupling implied by the telescoped analytic model).  Agreement with
-    outcomes_fading is limited only by sampling noise.
-    """
-    if trials < 10_000:
-        raise DomainError(f"need at least 1e4 trials for stable frequencies, got {trials}")
-    cfg, model = query.cfg, query.model
-    L, m = model.n_states, cfg.m
-    rng = np.random.default_rng(seed)
-
-    q = np.asarray(model.q)
-    states = [rng.choice(L, size=trials, p=q / q.sum())]
-    cum_rows = np.cumsum(np.asarray(model.transitions), axis=1)
-    for _ in range(m - 1):
-        u = rng.random(trials)
-        # clip guards the one-ulp shortfall of a row sum below 1.0
-        nxt = np.minimum((u[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1)
-        states.append(nxt)
-
-    u_decode = rng.random(trials)
-    resolved = np.full(trials, m, dtype=np.int64)  # m means residual error
-    step, start = cfg.stepper(query.kernel)
-    snrs = model.state_snrs
-    # one kernel step per distinct sampled path: a depth-j path is its
-    # depth-(j-1) prefix (an index into the previous distinct paths) and
-    # its last state
-    carries = [start]
-    prefix = np.zeros(trials, dtype=np.int64)
-    for depth in range(m):
-        key = np.ravel_multi_index((prefix, states[depth]), (len(carries), L))
-        distinct, prefix = np.unique(key, return_inverse=True)
-        stepped = [step(carries[i // L], depth, snrs[i % L]) for i in distinct.tolist()]
-        carries = [c for c, _ in stepped]
-        eps = np.array([e for _, e in stepped])[prefix]
-        newly = (resolved == m) & (u_decode >= eps)
-        resolved[newly] = depth
-    counts = np.bincount(resolved, minlength=m + 1)
-    freq = counts / trials
-    p = tuple(float(f) for f in freq[:m])
-    p_e = float(freq[m])
-    se = tuple(math.sqrt(f * (1.0 - f) / trials) for f in freq[:m])
-    se_e = math.sqrt(p_e * (1.0 - p_e) / trials)
-    return McOutcome(OutcomeDistribution(p, p_e), se, se_e, trials)

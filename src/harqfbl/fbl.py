@@ -39,7 +39,7 @@ def db_to_linear(snr_db: float) -> float:
 
 def linear_to_db(snr_linear: float) -> float:
     """Convert a linear SNR to dB; requires a positive argument."""
-    if snr_linear <= 0.0:
+    if not snr_linear > 0.0:
         raise DomainError(f"linear SNR must be positive, got {snr_linear}")
     return 10.0 * math.log10(snr_linear)
 
@@ -54,13 +54,24 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
+def check_snr(gamma: float) -> None:
+    # written so that NaN fails too; +inf is a valid, error-free SNR
+    if not gamma >= 0.0:
+        raise DomainError(f"SNR must be a nonnegative number, got {gamma}")
+
+
+def check_length(name: str, value: int) -> None:
+    # bool is an Integral subclass but never a length
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
 def channel_dispersion(gamma: float) -> float:
     """Channel dispersion V(gamma) = (1 - (1+gamma)^-2) * log2(e)^2 in bits^2.
 
     Nonnegative, nondecreasing in gamma, bounded above by log2(e)^2.
     """
-    if gamma < 0.0:
-        raise DomainError(f"SNR must be nonnegative, got {gamma}")
+    check_snr(gamma)
     return (1.0 - (1.0 + gamma) ** -2) * LOG2E_SQ
 
 
@@ -72,20 +83,12 @@ class CodeParams:
     k: int
 
     def __post_init__(self) -> None:
-        for name, value in (("blocklength n", self.n), ("information length k", self.k)):
-            # bool is an Integral subclass but never a length
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        check_length("blocklength n", self.n)
+        check_length("information length k", self.k)
 
     @property
     def rate(self) -> float:
         return self.k / self.n
-
-
-def check_snr(gamma: float) -> None:
-    # written so that NaN fails too; +inf is a valid, error-free SNR
-    if not gamma >= 0.0:
-        raise DomainError(f"SNR must be a nonnegative number, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,7 @@ class TransmissionRecord:
         for g in self.snrs:
             check_snr(g)
         for n_i in self.lengths:
-            if n_i < 1 or int(n_i) != n_i:
-                raise DomainError(f"round length must be a positive integer, got {n_i}")
+            check_length("round length", n_i)
 
 
 @dataclass(frozen=True)

@@ -74,22 +74,11 @@ def state_snr(eta_lo: float, eta_hi: float, avg_snr: float) -> float:
     return avg_snr * (antiderivative(eta_lo) - antiderivative(eta_hi)) / q
 
 
-@dataclass(frozen=True)
-class DopplerSpec:
-    """Doppler frequency and time-block duration of the sampled channel."""
-
-    f_d: float
-    t_tb: float
-
-    def __post_init__(self) -> None:
-        if self.f_d <= 0.0:
-            raise DomainError(f"Doppler frequency must be positive, got {self.f_d}")
-        if self.t_tb <= 0.0:
-            raise DomainError(f"time-block duration must be positive, got {self.t_tb}")
-
-    @property
-    def normalized(self) -> float:
-        return self.f_d * self.t_tb
+def _check_positive(**values: float) -> None:
+    # written so that NaN and +inf fail too
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _sojourn_norm(eta_lo: float, eta_hi: float) -> float:
@@ -175,8 +164,7 @@ class FsmcModel:
 
     def with_avg_snr(self, avg_snr: float) -> "FsmcModel":
         """Same partition and dynamics at a different mean SNR."""
-        if avg_snr <= 0.0:
-            raise DomainError(f"average SNR must be positive, got {avg_snr}")
+        _check_positive(avg_snr=avg_snr)
         scale = avg_snr / self.avg_snr
         return replace(
             self,
@@ -227,16 +215,19 @@ class FsmcModel:
     @classmethod
     def from_json(cls, text: str) -> "FsmcModel":
         obj = json.loads(text)
-        model = cls(
-            thresholds=tuple(obj["thresholds"]) + (math.inf,),
-            q=tuple(obj["q"]),
-            transitions=tuple(tuple(row) for row in obj["P"]),
-            state_snrs=tuple(db_to_linear(x) for x in obj["state_snrs_db"]),
-            avg_snr=db_to_linear(obj["avg_snr_db"]),
-            f_d=obj["f_d_hz"],
-            t_tb=obj["t_tb_s"],
-            c=obj["c"],
-        )
+        try:
+            model = cls(
+                thresholds=tuple(obj["thresholds"]) + (math.inf,),
+                q=tuple(obj["q"]),
+                transitions=tuple(tuple(row) for row in obj["P"]),
+                state_snrs=tuple(db_to_linear(x) for x in obj["state_snrs_db"]),
+                avg_snr=db_to_linear(obj["avg_snr_db"]),
+                f_d=obj["f_d_hz"],
+                t_tb=obj["t_tb_s"],
+                c=obj["c"],
+            )
+        except KeyError as exc:
+            raise DomainError(f"FSMC model JSON lacks the key {exc.args[0]!r}") from None
         model.validate(tol_row=1e-9, tol_q=1e-9)
         return model
 
@@ -289,9 +280,7 @@ def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> Fsm
     """
     if L < 2:
         raise ConstructionError(f"equal-duration partitioning needs L >= 2, got {L}")
-    spec = DopplerSpec(f_d, t_tb)
-    if avg_snr <= 0.0:
-        raise DomainError(f"average SNR must be positive, got {avg_snr}")
+    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr)
 
     def tail_gap(target: float) -> float:
         etas = _interior_thresholds(L - 1, target)
@@ -324,7 +313,7 @@ def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> Fsm
     if etas is None:
         raise ConstructionError(f"equal-duration solve did not converge for L={L}")
     etas.append(math.inf)
-    c = target / spec.normalized
+    c = target / (f_d * t_tb)
     return _assemble(etas, f_d, t_tb, avg_snr, c)
 
 
@@ -338,12 +327,10 @@ def build_fixed_sojourn(L: int, c: float, f_d: float, t_tb: float, avg_snr: floa
     """
     if L < 2:
         raise ConstructionError(f"fixed-sojourn partitioning needs L >= 2, got {L}")
-    if c < 1.0:
+    if not c >= 1.0:
         raise ConstructionError(f"c must be >= 1 so that t_tb fits inside a state, got {c}")
-    spec = DopplerSpec(f_d, t_tb)
-    if avg_snr <= 0.0:
-        raise DomainError(f"average SNR must be positive, got {avg_snr}")
-    target = c * spec.normalized
+    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr)
+    target = c * (f_d * t_tb)
     etas = _interior_thresholds(L - 1, target)
     if etas is None:
         feasible = 1
@@ -383,8 +370,3 @@ def from_target_c(
             f"no state count up to {max_states} yields a valid model at f_d*t_tb={f_d * t_tb:.6g}"
         )
     return best
-
-
-def validate_tb_bound(model: FsmcModel) -> tuple[float, ...]:
-    """Report-only wrapper returning per-state sojourn slack in seconds."""
-    return model.tb_bound_slacks()

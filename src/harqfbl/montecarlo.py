@@ -1,6 +1,6 @@
 """Stochastic validation of the analytic pipeline.
 
-Three independent checks live here:
+Four independent checks live here:
 
   - generate_trace: a correlated Rayleigh fading process synthesised from
     equal-power sinusoids with uniformly random arrival angles and phases,
@@ -10,10 +10,14 @@ Three independent checks live here:
   - simulate_harq: packet-level HARQ against a fixed SNR or against a
     fading trace; each round costs one step of the analysis's kernel,
     fbl.round_stepper, on the packet's running carry;
+  - outcomes_fading_mc_check: packet resolution on state paths sampled
+    from an FSMC model itself, the Monte Carlo replica of
+    fading.outcomes_fading;
   - validate_fsmc: quantises a trace with a model's thresholds and compares
     empirical state occupancies and transitions against the model.
 
-A packet's rounds are resolved against one shared uniform draw thresholded
+simulate_harq and outcomes_fading_mc_check both return a SimResult.  A
+packet's rounds are resolved against one shared uniform draw thresholded
 by the running combined-decoder error probability.  This realises exactly
 the nested failure events of the analytic model (fail with j rounds implies
 fail with fewer) while each round's error is still marginally
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
+from .fading import FadingOutcomeQuery
 from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
 from .fsmc import FsmcModel
 from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_probs
@@ -74,18 +79,6 @@ def generate_trace(
     return FadingTrace(h, f_d, t_tb, seed, n_oscillators)
 
 
-def trace_csv_lines(trace: FadingTrace):
-    """CSV regression-fixture form of a trace: one (re, im) pair per line."""
-    yield "re,im"
-    for h in trace.samples:
-        yield f"{h.real:.12g},{h.imag:.12g}"
-
-
-def save_trace(trace: FadingTrace, path) -> None:
-    """Binary (.npy) export of the complex samples."""
-    np.save(path, trace.samples)
-
-
 @dataclass(frozen=True)
 class TraceChannel:
     """A fading trace plus the mean SNR scaling |h|^2 into a linear SNR."""
@@ -96,6 +89,8 @@ class TraceChannel:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Empirical outcome frequencies, throughput and delay with standard errors."""
+
     outcome: OutcomeDistribution
     outcome_se: tuple[float, ...]
     p_e_se: float
@@ -103,19 +98,6 @@ class SimResult:
     throughput_se: float
     delay: DelayPmf
     packets: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p": list(self.outcome.p),
-            "p_e": self.outcome.p_e,
-            "p_se": list(self.outcome_se),
-            "p_e_se": self.p_e_se,
-            "throughput": self.throughput,
-            "throughput_se": self.throughput_se,
-            "delay_support": [float(d) for d in self.delay.support],
-            "delay_mass": list(self.delay.mass),
-            "packets": self.packets,
-        }
 
 
 def _binomial_se(freq: np.ndarray, n: int) -> tuple[float, ...]:
@@ -214,6 +196,50 @@ def simulate_harq(
         newly = (resolved == m) & (u >= eps[j])
         resolved[newly] = j
     return _result_from_resolution(cfg, resolved, packets)
+
+
+def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) -> SimResult:
+    """Monte Carlo replica of outcomes_fading on the same Markov model.
+
+    Samples first-round states from q, walks the chain with the transition
+    matrix, and resolves each packet against its path's running decoder
+    error probabilities using a single uniform draw (the nested-failure
+    coupling implied by the telescoped analytic model).  Agreement with
+    outcomes_fading is limited only by sampling noise.
+    """
+    if trials < 10_000:
+        raise DomainError(f"need at least 1e4 trials for stable frequencies, got {trials}")
+    cfg, model = query.cfg, query.model
+    L, m = model.n_states, cfg.m
+    rng = np.random.default_rng(seed)
+
+    q = np.asarray(model.q)
+    states = [rng.choice(L, size=trials, p=q / q.sum())]
+    cum_rows = np.cumsum(np.asarray(model.transitions), axis=1)
+    for _ in range(m - 1):
+        u = rng.random(trials)
+        # clip guards the one-ulp shortfall of a row sum below 1.0
+        nxt = np.minimum((u[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1)
+        states.append(nxt)
+
+    u_decode = rng.random(trials)
+    resolved = np.full(trials, m, dtype=np.int64)  # m means residual error
+    step, start = cfg.stepper(query.kernel)
+    snrs = model.state_snrs
+    # one kernel step per distinct sampled path: a depth-j path is its
+    # depth-(j-1) prefix (an index into the previous distinct paths) and
+    # its last state
+    carries = [start]
+    prefix = np.zeros(trials, dtype=np.int64)
+    for depth in range(m):
+        key = np.ravel_multi_index((prefix, states[depth]), (len(carries), L))
+        distinct, prefix = np.unique(key, return_inverse=True)
+        stepped = [step(carries[i // L], depth, snrs[i % L]) for i in distinct.tolist()]
+        carries = [c for c, _ in stepped]
+        eps = np.array([e for _, e in stepped])[prefix]
+        newly = (resolved == m) & (u_decode >= eps)
+        resolved[newly] = depth
+    return _result_from_resolution(cfg, resolved, trials)
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,54 @@
 """Grid search of retransmission coefficients under a PER constraint.
 
+A channel is either a linear SNR or an FsmcModel; outcome_on evaluates a
+configuration on either, and at_snr moves either to another mean SNR.
 For each candidate coefficient vector the full outcome distribution is
-evaluated (fixed-SNR or fading path, as dictated by the channel), and the
-feasible point with the highest throughput wins.  Ties break toward the
-shorter retransmission, which also means less queueing delay.
+evaluated, and the feasible point with the highest throughput wins.  Ties
+break toward the shorter retransmission, which also means less queueing
+delay.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear, linear_to_db
+from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear
 from .fading import DEFAULT_PATH_BUDGET, FadingOutcomeQuery, outcomes_fading
 from .fsmc import FsmcModel
-from .outcomes import HarqConfig, outcomes_awgn, throughput
+from .outcomes import HarqConfig, OutcomeDistribution, outcomes_awgn, throughput
 
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
+
+
+def outcome_on(cfg: HarqConfig, channel: float | FsmcModel,
+               kernel: KernelOptions = DEFAULT_KERNEL,
+               path_budget: int = DEFAULT_PATH_BUDGET) -> OutcomeDistribution:
+    """Outcome distribution on a linear SNR or on the FSMC fading model."""
+    if isinstance(channel, FsmcModel):
+        return outcomes_fading(FadingOutcomeQuery(cfg, channel, kernel, path_budget))
+    return outcomes_awgn(cfg, channel, kernel)
+
+
+def at_snr(channel: float | FsmcModel, snr_db: float) -> float | FsmcModel:
+    """The same channel at mean SNR snr_db; a model keeps its partition."""
+    if isinstance(channel, FsmcModel):
+        return channel.with_avg_snr(db_to_linear(snr_db))
+    return db_to_linear(snr_db)
+
+
+def check_tau_grid(grid: Sequence[float]) -> None:
+    """A tau grid is nonempty and strictly increasing within (0, 1]."""
+    if not grid:
+        raise DomainError("tau grid must be nonempty")
+    last = 0.0
+    for t in grid:
+        if not 0.0 < t <= 1.0 or t <= last:
+            raise DomainError("tau grid must be strictly increasing within (0, 1]")
+        last = t
 
 
 @dataclass(frozen=True)
@@ -51,25 +80,14 @@ class OptimizationProblem:
     def __post_init__(self) -> None:
         if not 0.0 < self.per_ceiling <= 1.0:
             raise DomainError(f"PER threshold must lie in (0, 1], got {self.per_ceiling}")
-        if not self.tau_grid:
-            raise DomainError("tau grid must be nonempty")
-        last = 0.0
-        for t in self.tau_grid:
-            if not 0.0 < t <= 1.0 or t <= last:
-                raise DomainError("tau grid must be strictly increasing within (0, 1]")
-            last = t
+        check_tau_grid(self.tau_grid)
         if self.constraint not in ("ceiling", "floor"):
             raise DomainError(f"unknown constraint direction {self.constraint!r}")
 
     def evaluate(self, taus: tuple[float, ...]) -> tuple[float, float]:
         """(residual PER, throughput) of the base config with these taus."""
         cfg = self.cfg_base.with_taus(taus)
-        if isinstance(self.channel, FsmcModel):
-            outcome = outcomes_fading(
-                FadingOutcomeQuery(cfg, self.channel, self.kernel, self.path_budget)
-            )
-        else:
-            outcome = outcomes_awgn(cfg, self.channel, self.kernel)
+        outcome = outcome_on(cfg, self.channel, self.kernel, self.path_budget)
         return outcome.p_e, throughput(cfg, outcome)
 
     def is_feasible(self, per: float) -> bool:
@@ -138,33 +156,10 @@ def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[Optimi
     if len(snrs_db) == 0:
         raise DomainError("SNR list must be nonempty")
     optimise = optimize_tau1 if problem.cfg_base.m == 2 else optimize_tau12
-    reports = []
-    for snr_db in snrs_db:
-        if isinstance(problem.channel, FsmcModel):
-            channel: float | FsmcModel = problem.channel.with_avg_snr(db_to_linear(snr_db))
-        else:
-            channel = db_to_linear(snr_db)
-        point = OptimizationProblem(
-            cfg_base=problem.cfg_base,
-            channel=channel,
-            per_ceiling=problem.per_ceiling,
-            tau_grid=problem.tau_grid,
-            constraint=problem.constraint,
-            kernel=problem.kernel,
-            path_budget=problem.path_budget,
-        )
-        report = optimise(point)
-        reports.append(
-            OptimizationReport(
-                report.tau_hat,
-                report.achieved_per,
-                report.achieved_throughput,
-                report.feasible,
-                report.frontier,
-                snr_db=snr_db,
-            )
-        )
-    return reports
+    return [
+        replace(optimise(replace(problem, channel=at_snr(problem.channel, snr_db))), snr_db=snr_db)
+        for snr_db in snrs_db
+    ]
 
 
 def reports_csv_lines(reports: Sequence[OptimizationReport]) -> Iterable[str]:
@@ -199,9 +194,3 @@ def reports_to_json(reports: Sequence[OptimizationReport]) -> str:
             }
         )
     return json.dumps(payload, indent=2)
-
-
-def channel_label(channel: float | FsmcModel) -> str:
-    if isinstance(channel, FsmcModel):
-        return f"fsmc(L={channel.n_states}, fdtb={channel.f_d * channel.t_tb:.6g})"
-    return f"awgn({linear_to_db(channel):.6g} dB)"

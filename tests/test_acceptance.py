@@ -216,7 +216,7 @@ def test_criterion_08_monte_carlo_cross_validation():
     names = [f"p_{i}" for i in range(cfg.m)] + ["p_e"]
     emp = list(mc.outcome.p) + [mc.outcome.p_e]
     ref = list(analytic.p) + [analytic.p_e]
-    ses = list(mc.stderr) + [mc.stderr_p_e]
+    ses = list(mc.outcome_se) + [mc.p_e_se]
     for name, e, r, se in zip(names, emp, ref, ses):
         if abs(e - r) > 3.0 * max(se, 1e-12):
             failures.append(f"{name}: |{e:.4g} - {r:.4g}| > 3se ({se:.2g})")
@@ -230,7 +230,7 @@ def test_criterion_08_monte_carlo_cross_validation():
     tp_emp = rate * (1.0 - p[-1]) / den
     grad = -rate * (1.0 - p[-1]) * s / den**2
     grad[-1] -= rate / den
-    var = (np.dot(p, grad**2) - np.dot(p, grad) ** 2) / mc.trials
+    var = (np.dot(p, grad**2) - np.dot(p, grad) ** 2) / mc.packets
     tp_se = math.sqrt(max(var, 0.0))
     tp_ref = throughput(cfg, analytic)
     if abs(tp_emp - tp_ref) > 2.576 * max(tp_se, 1e-12):

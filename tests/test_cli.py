@@ -175,3 +175,37 @@ class TestCommands:
         )
         assert main(["per-curve", "--config", str(huge), "--out", str(tmp_path)]) == EXIT_RESOURCE
         capsys.readouterr()
+
+    def test_delay_csv_uses_twelve_significant_digits(self, tmp_path):
+        assert main(["delay", "--preset", "fig3", "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "fig3_delay.csv").read_text().splitlines()
+        body = [l.split(",") for l in lines if l and not l.startswith(("#", "scheme"))]
+        numbers = [x for row in body for x in row[2:]]
+        assert all(x == f"{float(x):.12g}" for x in numbers)
+        # some tail value needs all twelve digits, so none were cut shorter
+        assert any(len(x.lstrip("-0.").replace(".", "").split("e")[0]) == 12 for x in numbers)
+
+    @pytest.mark.parametrize("command, preset", [("per-curve", "fig2a"), ("per-surface", "fig5")])
+    @pytest.mark.parametrize("grid", ["0.5,0.2", "0.2,0.2", "0.0,0.5", "0.5,1.5"])
+    def test_bad_tau_grid_is_a_config_error(self, tmp_path, capsys, command, preset, grid):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"preset = {preset}\ntau_grid = {grid}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "tau grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, code",
+        [
+            ("c = nan", EXIT_CONSTRUCTION),
+            ("f_d_hz = nan", EXIT_CONFIG),
+            ("f_d_hz = inf", EXIT_CONFIG),
+            ("t_tb_s = nan", EXIT_CONFIG),
+            ("snr_db = nan", EXIT_CONFIG),
+        ],
+    )
+    def test_non_finite_fading_arguments(self, tmp_path, capsys, line, code):
+        cfg = tmp_path / "fading.cfg"
+        cfg.write_text(f"preset = fig4a\n{line}\n")
+        assert main(["per-curve", "--config", str(cfg), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "strictly increasing" not in err

@@ -158,19 +158,6 @@ class TestOverheadCcdf:
         for x in grid:
             assert ccdf_at(curve_s, x) <= ccdf_at(curve_l, x) + 1e-12
 
-    def test_csv_export_formats(self):
-        from harqfbl.delay import ccdf_csv_lines, pmf_csv_lines
-
-        cfg = ir_cfg(70, (1.0, 0.5))
-        pmf = single_packet_delay(cfg, OutcomeDistribution((0.8, 0.15), 0.05))
-        lines = list(pmf_csv_lines(pmf))
-        assert lines[0] == "delay,probability"
-        assert lines[1] == "1,0.8"
-        curve = overhead_ccdf(stream_delay(pmf, 10), 10)
-        clines = list(ccdf_csv_lines(curve))
-        assert clines[0] == "overhead,ccdf"
-        assert len(clines) == len(curve) + 1
-
     def test_higher_rate_has_heavier_overhead(self):
         # more information bits per block leave less margin, so more
         # packets need the retransmission

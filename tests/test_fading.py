@@ -200,8 +200,8 @@ class TestMcCheck:
         analytic = outcomes_fading(query)
         mc = outcomes_fading_mc_check(query, 200_000, 7)
         for i in range(cfg.m):
-            assert abs(mc.outcome.p[i] - analytic.p[i]) <= 3.0 * max(mc.stderr[i], 1e-9)
-        assert abs(mc.outcome.p_e - analytic.p_e) <= 3.0 * max(mc.stderr_p_e, 1e-9)
+            assert abs(mc.outcome.p[i] - analytic.p[i]) <= 3.0 * max(mc.outcome_se[i], 1e-9)
+        assert abs(mc.outcome.p_e - analytic.p_e) <= 3.0 * max(mc.p_e_se, 1e-9)
 
     def test_agreement_three_rounds(self):
         cfg = ir_cfg(70, (1.0, 0.5, 0.4))
@@ -209,7 +209,7 @@ class TestMcCheck:
         analytic = outcomes_fading(query)
         mc = outcomes_fading_mc_check(query, 100_000, 21)
         for i in range(cfg.m):
-            assert abs(mc.outcome.p[i] - analytic.p[i]) <= 3.0 * max(mc.stderr[i], 1e-9)
+            assert abs(mc.outcome.p[i] - analytic.p[i]) <= 3.0 * max(mc.outcome_se[i], 1e-9)
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(DomainError):
@@ -223,3 +223,13 @@ class TestMcCheck:
         b = outcomes_fading_mc_check(query, 20_000, 99)
         assert a.outcome.p == b.outcome.p
         assert a.outcome.p_e == b.outcome.p_e
+
+    def test_seeded_outcome_pinned(self):
+        # 18876 / 1114 / 10 of 20000 packets; pins the RNG draw order
+        query = FadingOutcomeQuery(ir_cfg(70, (1.0, 0.6)), fig4a_model())
+        mc = outcomes_fading_mc_check(query, 20_000, 99)
+        assert mc.outcome.p == (0.9438, 0.0557)
+        assert mc.outcome.p_e == 0.0005
+        assert mc.outcome_se == (0.0016285201871637947, 0.001621689088574009)
+        assert mc.p_e_se == 0.0001580743495953724
+        assert mc.packets == 20_000

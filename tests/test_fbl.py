@@ -82,6 +82,10 @@ class TestChannelDispersion:
         with pytest.raises(DomainError):
             channel_dispersion(-0.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="nan"):
+            channel_dispersion(math.nan)
+
     @given(st.floats(0, 1e6), st.floats(1e-9, 1e6))
     def test_monotone_and_bounded(self, g, dg):
         a, b = channel_dispersion(g), channel_dispersion(g + dg)
@@ -96,6 +100,11 @@ class TestSnrConversion:
     @given(st.floats(1e-12, 1e12))
     def test_round_trip_linear(self, g):
         assert db_to_linear(linear_to_db(g)) == pytest.approx(g, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan])
+    def test_nonpositive_and_nan_rejected(self, g):
+        with pytest.raises(DomainError, match="positive"):
+            linear_to_db(g)
 
 
 class TestCodeParams:
@@ -267,6 +276,11 @@ class TestPerIr:
             TransmissionRecord((), ())
         with pytest.raises(DomainError):
             TransmissionRecord((1.0,), (100, 50))
+
+    @pytest.mark.parametrize("length", [100.0, True, "100"])
+    def test_non_integer_lengths_rejected(self, length):
+        with pytest.raises(DomainError, match="round length"):
+            TransmissionRecord((1.0,), (length,))
 
     @given(
         st.lists(st.floats(0, 100), min_size=1, max_size=5),

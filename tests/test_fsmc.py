@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from harqfbl import (
     ConstructionError,
     DomainError,
-    DopplerSpec,
     FsmcModel,
     build_equal_duration,
     build_fixed_sojourn,
@@ -20,7 +19,6 @@ from harqfbl import (
     level_crossing_rate,
     marginal_probability,
     state_snr,
-    validate_tb_bound,
 )
 
 mp.mp.dps = 40
@@ -190,7 +188,7 @@ class TestEqualDuration:
             build_equal_duration(1, 210.0, 0.00014, 10.0)
 
     def test_slack_report(self, l4):
-        slacks = validate_tb_bound(l4)
+        slacks = l4.tb_bound_slacks()
         assert len(slacks) == 4
         assert all(s >= 0.0 for s in slacks)
         expect = tuple(t - l4.t_tb for t in l4.sojourn_times())
@@ -270,13 +268,39 @@ class TestSerialization:
         assert len(obj["P"]) == 4
 
 
-class TestDopplerSpec:
-    def test_normalized_product(self):
-        spec = DopplerSpec(241.0, 0.00014)
-        assert spec.normalized == pytest.approx(241.0 * 0.00014, rel=1e-12)
+class TestBuilderArguments:
+    # (f_d, t_tb, avg_snr) of a valid L = 4 model
+    GOOD = (100.0, 0.001, 10.0)
+    BAD = [0.0, -1.0, math.nan, math.inf]
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            DopplerSpec(0.0, 0.1)
-        with pytest.raises(DomainError):
-            DopplerSpec(100.0, 0.0)
+    @pytest.mark.parametrize("build", ["equal", "fixed"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["f_d", "t_tb", "avg_snr"])
+    @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf"])
+    def test_builders_reject(self, build, position, value):
+        args = list(self.GOOD)
+        args[position] = value
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            if build == "equal":
+                build_equal_duration(4, *args)
+            else:
+                build_fixed_sojourn(4, 1.5, *args)
+
+    @pytest.mark.parametrize("c", [math.nan, 0.5, -math.inf])
+    def test_fixed_sojourn_rejects_bad_c(self, c):
+        with pytest.raises(ConstructionError, match="c must be >= 1"):
+            build_fixed_sojourn(4, c, *self.GOOD)
+
+    @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf"])
+    def test_with_avg_snr_rejects(self, value):
+        model = build_fixed_sojourn(4, 1.5, *self.GOOD)
+        with pytest.raises(DomainError, match="avg_snr"):
+            model.with_avg_snr(value)
+
+
+class TestFromJsonMissingKey:
+    @pytest.mark.parametrize("key", ["thresholds", "c", "P", "state_snrs_db"])
+    def test_names_the_key(self, key):
+        obj = json.loads(build_equal_duration(4, 100.0, 0.001, 10.0).to_json())
+        del obj[key]
+        with pytest.raises(DomainError, match=f"'{key}'"):
+            FsmcModel.from_json(json.dumps(obj))

@@ -67,19 +67,6 @@ class TestGenerateTrace:
         with pytest.raises(DomainError):
             generate_trace(100.0, 1e-4, 10, 1, n_oscillators=0)
 
-    def test_csv_and_binary_export(self, tmp_path):
-        from harqfbl.montecarlo import save_trace, trace_csv_lines
-
-        trace = generate_trace(100.0, 1e-4, 50, 4)
-        lines = list(trace_csv_lines(trace))
-        assert lines[0] == "re,im"
-        assert len(lines) == 51
-        re0, im0 = map(float, lines[1].split(","))
-        assert complex(re0, im0) == pytest.approx(trace.samples[0], rel=1e-9)
-        path = tmp_path / "trace.npy"
-        save_trace(trace, path)
-        assert np.array_equal(np.load(path), trace.samples)
-
 
 class TestSimulateAwgn:
     def test_error_free_channel_hits_code_rate(self):
