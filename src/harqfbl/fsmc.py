@@ -23,6 +23,13 @@ Two threshold constructions are provided:
     right so each interior state's sojourn equals c * t_tb, and leaves the
     final state as the tail remainder (its sojourn is whatever is left).
     This is the construction behind the bundled fading presets.
+
+Every threshold, and the common sojourn of build_equal_duration, is the root
+of a monotone function, found by one bracketed solver (regula falsi with the
+Illinois step) to 1e-16 absolute, below which a state's sojourn is rounding
+noise, or to adjacent floats.  ConstructionError reports a target that no
+threshold up to 26.6 reaches, a bracket without a sign change, a solve open
+after 150 steps, and a state whose probability rounds to 0.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ConstructionError, DomainError
 from .fbl import db_to_linear, linear_to_db
@@ -40,9 +47,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def level_crossing_rate(eta: float, f_d: float) -> float:
     """Rate (per second) at which the envelope crosses level eta downward."""
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise DomainError(f"threshold must be nonnegative, got {eta}")
-    if f_d <= 0.0:
+    if not f_d > 0.0:
         raise DomainError(f"Doppler frequency must be positive, got {f_d}")
     if math.isinf(eta):
         return 0.0
@@ -64,7 +71,7 @@ def state_snr(eta_lo: float, eta_hi: float, avg_snr: float) -> float:
     mean follows from integrating x^2 against the Rayleigh density over
     the interval.
     """
-    if avg_snr <= 0.0:
+    if not avg_snr > 0.0:
         raise DomainError(f"average SNR must be positive, got {avg_snr}")
 
     def antiderivative(x: float) -> float:
@@ -87,39 +94,63 @@ def _sojourn_norm(eta_lo: float, eta_hi: float) -> float:
     return marginal_probability(eta_lo, eta_hi) / den
 
 
+_ATOL = 1e-16  # width at which a root solve stops (see the module docstring)
+_MAX_STEPS = 150  # the builds here take at most about 60 steps
+_ETA_MAX = 26.6  # exp(-eta^2) leaves the normal floats at about 26.615
+
+
+def _root(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Root of an increasing f on [lo, hi], given f_lo = f(lo) and f_hi = f(hi),
+    by regula falsi with the Illinois step (an end kept twice in a row has its
+    value halved); a secant point outside the open bracket becomes the midpoint."""
+    if not f_lo < 0.0 <= f_hi:
+        raise ConstructionError(f"[{lo:.6g}, {hi:.6g}] does not bracket a root")
+    kept = 0
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= max(_ATOL, math.ulp(hi)):
+            return 0.5 * (lo + hi)
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi = x, fx
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+    raise ConstructionError(f"root solve did not converge in {_MAX_STEPS} steps on [{lo!r}, {hi!r}]")
+
+
 def _solve_upper_threshold(eta_lo: float, target: float) -> float | None:
     """Upper threshold making the state's normalised sojourn equal target.
 
-    The sojourn is strictly increasing in the upper threshold; for
-    eta_lo > 0 it is bounded by the tail sojourn 1/(sqrt(2*pi)*eta_lo), so
-    the solve returns None when the target is unreachable.
+    The sojourn is strictly increasing in the upper threshold and, for
+    eta_lo > 0, bounded by the tail sojourn 1/(sqrt(2*pi)*eta_lo); None
+    means that no threshold up to _ETA_MAX reaches the target.
     """
     if eta_lo > 0.0 and target >= 1.0 / (_SQRT_2PI * eta_lo) * (1.0 - 1e-14):
         return None
-    lo = eta_lo
-    hi = max(eta_lo * 2.0, eta_lo + 1.0, 1.0)
-    while _sojourn_norm(eta_lo, hi) < target:
-        hi = eta_lo + 2.0 * (hi - eta_lo)
-        if hi > 1e9:
+    hi = min(max(2.0 * eta_lo, eta_lo + 1.0), _ETA_MAX)
+    while (f_hi := _sojourn_norm(eta_lo, hi) - target) < 0.0:
+        if hi >= _ETA_MAX:
             return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= eta_lo or mid >= hi or hi - lo < 1e-16 * max(1.0, hi):
-            break
-        if _sojourn_norm(eta_lo, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hi = min(eta_lo + 2.0 * (hi - eta_lo), _ETA_MAX)
+    return _root(lambda eta: _sojourn_norm(eta_lo, eta) - target, eta_lo, -target, hi, f_hi)
 
 
-def _interior_thresholds(n_states_solved: int, target: float) -> list[float] | None:
-    """Left-to-right thresholds giving n_states_solved states of equal sojourn."""
+def _interior_thresholds(n_states: int, target: float) -> list[float]:
+    """Left-to-right thresholds of up to n_states states of sojourn target,
+    stopping at the first state that cannot reach it."""
     etas = [0.0]
-    for _ in range(n_states_solved):
+    while len(etas) <= n_states:
         nxt = _solve_upper_threshold(etas[-1], target)
         if nxt is None:
-            return None
+            break
         etas.append(nxt)
     return etas
 
@@ -150,13 +181,8 @@ class FsmcModel:
 
     def sojourn_times(self) -> tuple[float, ...]:
         """Expected time (seconds) the envelope dwells in each state."""
-        out = []
-        for i in range(self.n_states):
-            den = level_crossing_rate(self.thresholds[i], self.f_d) + level_crossing_rate(
-                self.thresholds[i + 1], self.f_d
-            )
-            out.append(self.q[i] / den)
-        return tuple(out)
+        edges = self.thresholds
+        return tuple(_sojourn_norm(a, b) / self.f_d for a, b in zip(edges, edges[1:]))
 
     def tb_bound_slacks(self) -> tuple[float, ...]:
         """Per-state slack sojourn_time - t_tb; all must be nonnegative."""
@@ -214,8 +240,8 @@ class FsmcModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FsmcModel":
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             model = cls(
                 thresholds=tuple(obj["thresholds"]) + (math.inf,),
                 q=tuple(obj["q"]),
@@ -226,8 +252,8 @@ class FsmcModel:
                 t_tb=obj["t_tb_s"],
                 c=obj["c"],
             )
-        except KeyError as exc:
-            raise DomainError(f"FSMC model JSON lacks the key {exc.args[0]!r}") from None
+        except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+            raise DomainError(f"malformed FSMC model JSON ({type(exc).__name__}: {exc})") from None
         model.validate(tol_row=1e-9, tol_q=1e-9)
         return model
 
@@ -237,6 +263,8 @@ def _assemble(
 ) -> FsmcModel:
     L = len(etas) - 1
     q = tuple(marginal_probability(etas[i], etas[i + 1]) for i in range(L))
+    if min(q) == 0.0:
+        raise ConstructionError("a state's probability rounds to 0: the sojourn target is too small")
     rows = []
     for i in range(L):
         up = level_crossing_rate(etas[i + 1], f_d) * t_tb / q[i] if i < L - 1 else 0.0
@@ -276,42 +304,21 @@ def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> Fsm
 
     The common normalised sojourn T solves a one-dimensional root problem:
     for a candidate T the first L-1 thresholds follow left to right, and T
-    is adjusted until the leftover tail state's sojourn also equals T.
+    is adjusted until the tail state's sojourn equals T within 1e-9.
     """
     if L < 2:
         raise ConstructionError(f"equal-duration partitioning needs L >= 2, got {L}")
     _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr)
 
-    def tail_gap(target: float) -> float:
+    def excess(target: float) -> float:  # increasing; unplaceable states count as excess
         etas = _interior_thresholds(L - 1, target)
-        if etas is None:
-            return -1.0
-        return _sojourn_norm(etas[-1], math.inf) - target
+        return target - _sojourn_norm(etas[-1], math.inf) if len(etas) == L else 1.0
 
-    lo = 1e-6 / L
-    for _ in range(200):
-        if tail_gap(lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ConstructionError(f"no lower bracket for the sojourn solve at L={L}")
-    hi = 1.0
-    for _ in range(200):
-        if tail_gap(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConstructionError(f"no upper bracket for the sojourn solve at L={L}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail_gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    target = 0.5 * (lo + hi)
+    lo, hi = 1e-3 / L, 1.0  # the root times L is about 0.9 at least
+    target = _root(excess, lo, excess(lo), hi, excess(hi))
     etas = _interior_thresholds(L - 1, target)
-    if etas is None:
-        raise ConstructionError(f"equal-duration solve did not converge for L={L}")
+    if len(etas) < L or abs(_sojourn_norm(etas[-1], math.inf) / target - 1.0) > 1e-9:
+        raise ConstructionError(f"no partition of the envelope into L={L} equal-duration states")
     etas.append(math.inf)
     c = target / (f_d * t_tb)
     return _assemble(etas, f_d, t_tb, avg_snr, c)
@@ -332,18 +339,10 @@ def build_fixed_sojourn(L: int, c: float, f_d: float, t_tb: float, avg_snr: floa
     _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr)
     target = c * (f_d * t_tb)
     etas = _interior_thresholds(L - 1, target)
-    if etas is None:
-        feasible = 1
-        probe = [0.0]
-        while True:
-            nxt = _solve_upper_threshold(probe[-1], target)
-            if nxt is None:
-                break
-            probe.append(nxt)
-            feasible += 1
+    if len(etas) < L:
         raise ConstructionError(
             f"sojourn target c*f_d*t_tb={target:.6g} is unreachable beyond state "
-            f"{feasible}; at most L={feasible} states fit (requested {L})"
+            f"{len(etas)}; at most L={len(etas)} states fit (requested {L})"
         )
     etas.append(math.inf)
     return _assemble(etas, f_d, t_tb, avg_snr, c)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harqfbl
 from harqfbl import ConfigError, FsmcModel
 from harqfbl.cli import (
     EXIT_CONFIG,
@@ -197,6 +202,7 @@ class TestCommands:
         "line, code",
         [
             ("c = nan", EXIT_CONSTRUCTION),
+            ("c = 1e300", EXIT_CONSTRUCTION),
             ("f_d_hz = nan", EXIT_CONFIG),
             ("f_d_hz = inf", EXIT_CONFIG),
             ("t_tb_s = nan", EXIT_CONFIG),
@@ -209,3 +215,13 @@ class TestCommands:
         assert main(["per-curve", "--config", str(cfg), "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and "strictly increasing" not in err
+
+
+def test_import_loads_no_scipy():
+    # a module-level scipy import about triples the import time of the
+    # package, which every CLI run pays; scipy is imported inside functions
+    code = "import harqfbl, harqfbl.cli, sys; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(harqfbl.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

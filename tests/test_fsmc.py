@@ -49,6 +49,20 @@ class TestLevelCrossingRate:
             level_crossing_rate(-0.1, 100.0)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (level_crossing_rate, (1.0, math.nan)),
+        (level_crossing_rate, (math.nan, 1.0)),
+        (state_snr, (0.0, 1.0, math.nan)),
+    ],
+    ids=["lcr-f_d", "lcr-eta", "state_snr-avg_snr"],
+)
+def test_public_helpers_reject_nan(call, args):
+    with pytest.raises(DomainError):
+        call(*args)
+
+
 class TestMarginalProbability:
     def test_full_support(self):
         assert marginal_probability(0.0, math.inf) == 1.0
@@ -187,12 +201,48 @@ class TestEqualDuration:
         with pytest.raises(ConstructionError):
             build_equal_duration(1, 210.0, 0.00014, 10.0)
 
+    def test_state_count_without_partition_rejected(self):
+        # beyond about L = 600 no equal-duration partition exists in floats
+        with pytest.raises(ConstructionError):
+            build_equal_duration(800, 210.0, 1e-8, 10.0)
+
     def test_slack_report(self, l4):
         slacks = l4.tb_bound_slacks()
         assert len(slacks) == 4
         assert all(s >= 0.0 for s in slacks)
         expect = tuple(t - l4.t_tb for t in l4.sojourn_times())
         assert slacks == pytest.approx(expect)
+
+
+# Thresholds (without 0 and inf) and c of the fixtures above, as the
+# fixed-step bisection that preceded the bracketed solver computed them.
+PINNED = {
+    "l4": (
+        (0.5187556176487527, 1.0622800527124747, 1.6799315563045463),
+        2.777489098369322,
+    ),
+    "l13": (
+        (0.2659430083967732, 0.5327497808498627, 0.8013258755090307, 1.0726667348626795,
+         1.3479203926286765, 1.6284783423504625, 1.916120021991539, 2.21326475571078,
+         2.5234604754054937, 2.8524757039982713, 3.2113250678272394, 3.628799917473823),
+        3.739380960199911,
+    ),
+    "slow": (
+        (0.24997535554721054, 0.5005858728059303, 0.7524906802241902, 1.0063996344581922,
+         1.2631063588081783, 1.5235327162970091, 1.7887933520644088, 2.0602962017266204,
+         2.339911003031374, 2.630277411243669, 2.935435567929151, 3.2623433731434925),
+        3.0446,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_thresholds_pinned(name, request):
+    model = request.getfixturevalue(name)
+    thresholds, c = PINNED[name]
+    assert model.thresholds[0] == 0.0 and math.isinf(model.thresholds[-1])
+    assert model.thresholds[1:-1] == pytest.approx(thresholds, rel=1e-12, abs=0.0)
+    assert model.c == pytest.approx(c, rel=1e-12, abs=0.0)
 
 
 class TestFixedSojourn:
@@ -230,7 +280,7 @@ class TestFixedSojourn:
 class TestTargetC:
     def test_picks_nearest_state_count(self):
         target = 3.0
-        model = from_target_c(target, 210.0, 0.00014, 10.0, max_states=24)
+        model = from_target_c(target, 210.0, 0.00014, 10.0)
         best = abs(model.c - target)
         for L in (model.n_states - 1, model.n_states + 1):
             try:
@@ -290,6 +340,21 @@ class TestBuilderArguments:
         with pytest.raises(ConstructionError, match="c must be >= 1"):
             build_fixed_sojourn(4, c, *self.GOOD)
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            # a sojourn of 1e299 puts the first threshold near 26.3; the bracket
+            # search must stop before exp(-eta^2) underflows to 0
+            ((4, 1e300, *GOOD), "at most L=2 states"),
+            # a sojourn of 1e-9 fits in a state too narrow for a float probability
+            ((3, 1.0, 1e-9, 1.0, 10.0), "rounds to 0"),
+        ],
+        ids=["huge", "tiny"],
+    )
+    def test_fixed_sojourn_rejects_extreme_targets(self, args, match):
+        with pytest.raises(ConstructionError, match=match):
+            build_fixed_sojourn(*args)
+
     @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf"])
     def test_with_avg_snr_rejects(self, value):
         model = build_fixed_sojourn(4, 1.5, *self.GOOD)
@@ -304,3 +369,20 @@ class TestFromJsonMissingKey:
         del obj[key]
         with pytest.raises(DomainError, match=f"'{key}'"):
             FsmcModel.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{",
+        "null",
+        # parses, but 10**(1e4/10) overflows
+        '{"thresholds": [0.0], "q": [1.0], "P": [[1.0]], "state_snrs_db": [1e4],'
+        ' "avg_snr_db": 0.0, "f_d_hz": 1.0, "t_tb_s": 1.0, "c": 1.0}',
+    ],
+    ids=["list", "truncated", "null", "overflow"],
+)
+def test_from_json_rejects_malformed_text(text):
+    with pytest.raises(DomainError, match="malformed FSMC model JSON"):
+        FsmcModel.from_json(text)
