@@ -35,6 +35,7 @@ from .optimize import (
     OptimizationProblem,
     at_snr,
     check_tau_grid,
+    outcome_grid,
     outcome_on,
     reports_csv_lines,
     reports_to_json,
@@ -135,57 +136,43 @@ def _log10(p: float) -> float:
     return math.log10(max(p, 1e-300))
 
 
-def cmd_per_curve(cfg: dict[str, Any]) -> int:
-    require(cfg, "snr_db")
+def _grid_table(cfg: dict[str, Any], command: str, ks: list[int], candidates: list[tuple[float, ...]],
+                tau_columns: list[str]) -> int:
+    """PER and throughput of every candidate at every SNR and k, batched per (SNR, k)."""
     kernel = _kernel(cfg)
-    grid = _tau_grid(cfg)
-    ks = cfg.get("k_list")
-    if ks is None:
-        require(cfg, "k")
-        ks = [cfg["k"]]
     channel = _channel(cfg, cfg["snr_db"][0])
     rows: list[list[Any]] = []
     for snr_db in cfg["snr_db"]:
         point = at_snr(channel, snr_db)
         for k in ks:
-            if cfg.get("scheme", "IR") == "CC":
-                taus_list = [(1.0,) * cfg["m"]]
-            else:
-                taus_list = [(1.0, *([t] * (cfg["m"] - 1))) for t in grid]
-            for taus in taus_list:
-                harq = _harq_config(cfg, k=k, taus=taus)
-                out = outcome_on(harq, point, kernel)
-                tp = throughput(harq, out)
-                rows.append([snr_db, k, taus[-1], out.p_e, _log10(out.p_e), tp])
-    path = _write_table(cfg, "per_curve", ["snr_db", "k", "tau1", "per", "log10_per", "throughput"], rows)
-    print(path)
+            for harq, out in outcome_grid(_harq_config(cfg, k, candidates[0]), point, candidates, kernel):
+                taus = harq.taus[-len(tau_columns):]
+                rows.append([snr_db, k, *taus, out.p_e, _log10(out.p_e), throughput(harq, out)])
+    print(_write_table(cfg, command, ["snr_db", "k", *tau_columns, "per", "log10_per", "throughput"], rows))
     return EXIT_OK
+
+
+def cmd_per_curve(cfg: dict[str, Any]) -> int:
+    require(cfg, "snr_db", "m")
+    grid = _tau_grid(cfg)
+    ks = cfg.get("k_list")
+    if ks is None:
+        require(cfg, "k")
+        ks = [cfg["k"]]
+    if cfg.get("scheme", "IR") == "CC":
+        candidates = [(1.0,) * cfg["m"]]
+    else:
+        candidates = [(1.0, *([t] * (cfg["m"] - 1))) for t in grid]
+    return _grid_table(cfg, "per_curve", ks, candidates, ["tau1"])
 
 
 def cmd_per_surface(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "k")
     if cfg.get("m") != 3:
         raise ConfigError("per-surface requires m = 3")
-    kernel = _kernel(cfg)
     grid = _tau_grid(cfg)
-    channel = _channel(cfg, cfg["snr_db"][0])
-    rows: list[list[Any]] = []
-    for snr_db in cfg["snr_db"]:
-        point = at_snr(channel, snr_db)
-        for t1 in grid:
-            for t2 in grid:
-                if t2 > t1:
-                    continue
-                harq = _harq_config(cfg, taus=(1.0, t1, t2))
-                out = outcome_on(harq, point, kernel)
-                tp = throughput(harq, out)
-                rows.append([snr_db, cfg["k"], t1, t2, out.p_e, _log10(out.p_e), tp])
-    path = _write_table(
-        cfg, "per_surface",
-        ["snr_db", "k", "tau1", "tau2", "per", "log10_per", "throughput"], rows,
-    )
-    print(path)
-    return EXIT_OK
+    candidates = [(1.0, t1, t2) for t1 in grid for t2 in grid if t2 <= t1]
+    return _grid_table(cfg, "per_surface", [cfg["k"]], candidates, ["tau1", "tau2"])
 
 
 def cmd_delay(cfg: dict[str, Any]) -> int:
@@ -205,8 +192,8 @@ def cmd_delay(cfg: dict[str, Any]) -> int:
             outcome = outcome_on(harq, channel, kernel)
             stream = stream_delay(single_packet_delay(harq, outcome), n_packets)
             for x, tail in overhead_ccdf(stream, n_packets):
-                rows.append([scheme, str(k), harq.taus[-1], x, tail])
-    path = _write_table(cfg, "delay", ["scheme", "k", "tau1", "overhead", "ccdf"], rows)
+                rows.append([scheme, str(k), harq.taus[-1], x, tail, stream.pruned_mass])
+    path = _write_table(cfg, "delay", ["scheme", "k", "tau1", "overhead", "ccdf", "pruned_mass"], rows)
     print(path)
     return EXIT_OK
 

@@ -49,10 +49,6 @@ class DelayPmf:
     def total(self) -> float:
         return sum(self.mass) + self.pruned_mass
 
-    def check_normalised(self, tol: float = 1e-9) -> None:
-        if abs(self.total - 1.0) > tol:
-            raise DomainError(f"masses sum to {self.total}, not 1")
-
     def mean(self) -> float:
         return sum(float(d) * m for d, m in zip(self.support, self.mass))
 
@@ -170,7 +166,8 @@ def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float)
     N - i packets costing an extra tau1 slots each, so the total delay is
     (1 + tau1) * N - i * tau1 with binomial mass C(N, i) (1-p)^i p^(N-i).
     Serves as the independent oracle for the convolution engine; with
-    tau1 = 1 (chase combining) the support is {N .. 2N}.
+    tau1 = 1 (chase combining) the support is {N .. 2N}.  Masses are taken
+    in log space from the exact C(N, i), so those below the float range are 0.
     """
     if n_packets < 1:
         raise DomainError(f"need at least one packet, got {n_packets}")
@@ -180,8 +177,10 @@ def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float)
     atoms: dict[Fraction, float] = {}
     for i in range(n_packets + 1):
         d = (1 + t) * n_packets - i * t
-        mass = math.comb(n_packets, i) * (1.0 - p_fail) ** i * p_fail ** (n_packets - i)
-        atoms[d] = atoms.get(d, 0.0) + mass
+        log_mass = math.log(math.comb(n_packets, i))
+        for x, e in ((1.0 - p_fail, i), (p_fail, n_packets - i)):  # log(x ** e), 0 ** 0 = 1
+            log_mass += 0.0 if e == 0 else (e * math.log(x) if x > 0.0 else -math.inf)
+        atoms[d] = atoms.get(d, 0.0) + math.exp(log_mass)
     return DelayPmf.from_atoms(atoms)
 
 
@@ -207,14 +206,3 @@ def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]
     return [
         (float((d - n_packets) / n_packets), t) for d, t in zip(stream.support, tails)
     ]
-
-
-def ccdf_at(curve: list[tuple[float, float]], x: float, total: float = 1.0) -> float:
-    """Evaluate a right-continuous tail curve P(X > x) at an arbitrary x."""
-    result = total
-    for point, tail in curve:
-        if point <= x:
-            result = tail
-        else:
-            break
-    return result

@@ -9,11 +9,10 @@ combining disciplines are covered:
   - incremental redundancy: round i contributes n_i fresh codeword symbols
     at its own SNR, lengthening the effective code.
 
-round_stepper is the one place the Q-function argument is evaluated: it
-adds one round to a running carry and returns the decoder error after it.
-per_cc and per_ir, the outcome distributions, the fading path walk and the
-Monte Carlo simulator all call it.  All probabilities are clamped to [0, 1]
-after evaluation.
+round_stepper is the one place the Q-function argument is evaluated, on
+numpy arrays over tau candidates x state paths or over packets.  per_cc,
+per_ir, the outcome distributions, the fading path walk and the Monte
+Carlo simulator all call it.  Probabilities are clamped to [0, 1].
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -150,54 +151,55 @@ class Scheme(str, Enum):
     IR = "IR"
 
 
+def _eps(cap, k: int, numerator, d, denom) -> np.ndarray:
+    # Q(numerator / denom) by math.erfc per element (no scipy); zero dispersion d decides on cap > k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.asarray(numerator / denom) / _SQRT2
+    q = np.fromiter(map(math.erfc, x.ravel()), float, x.size).reshape(x.shape)
+    return np.where(d == 0.0, (cap <= k).astype(float), np.minimum(np.maximum(0.5 * q, 0.0), 1.0))
+
+
 def round_stepper(
-    code: CodeParams, lengths: Sequence[int], scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL
+    code: CodeParams, lengths, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL
 ) -> tuple[Callable, object]:
     """The finite-blocklength kernel as step(carry, depth, gamma) -> (carry, eps).
 
     step adds round `depth` (0-based), received at SNR gamma, to the carry of
     the rounds before it and returns the new carry with the decoder error
     eps after depth + 1 rounds.  Returns (step, carry before any round).
+    lengths ((m,) or (m, candidates, 1)), gamma and the carry (a tuple of
+    arrays) broadcast, so eps holds one error per candidate x path, or per
+    packet.
 
     Chase combining carries the SNR total and repeats the n-symbol codeword;
     incremental redundancy carries the accumulated capacity and dispersion
-    (the latter in nats^2, scaled at evaluation) of lengths[0..depth].  With
-    zero dispersion the decoder succeeds iff the capacity exceeds k, and an
-    infinite SNR gives eps = 0.  Callers validate the SNRs.
+    (nats^2, scaled at evaluation) of lengths[0..depth].  Zero dispersion
+    decides on capacity against k, and an infinite SNR gives eps = 0.
+    Callers validate the SNRs.
     """
     n, k = code.n, code.k
     scale = kernel.dispersion_scale
-
+    # np.power, not **, so that scalars and arrays round alike
     if scheme is Scheme.CC:
         log2_n = math.log2(n)
         root_nv = kernel.cc_denominator == "sqrt_nv"
 
         def step_cc(carry, depth, gamma):
-            gsum = carry + gamma
-            cap = n * math.log2(1.0 + gsum)
-            v = (1.0 - (1.0 + gsum) ** -2) * scale
-            if v == 0.0:
-                return gsum, (1.0 if cap <= k else 0.0)
-            x = (cap - k + log2_n) / (math.sqrt(n * v) if root_nv else n * math.sqrt(v))
-            return gsum, min(1.0, max(0.0, 0.5 * math.erfc(x / _SQRT2)))
+            gsum = carry[0] + gamma
+            cap = n * np.log2(1.0 + gsum)
+            v = (1.0 - np.power(1.0 + gsum, -2.0)) * scale
+            return (gsum,), _eps(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v))
 
-        return step_cc, 0.0
+        return step_cc, (0.0,)
 
-    log2_total = []
-    total = 0
-    for n_i in lengths:
-        total += n_i
-        log2_total.append(math.log2(total))
+    lengths = np.asarray(lengths)
+    log2_total = np.log2(np.cumsum(lengths, axis=0))
 
     def step_ir(carry, depth, gamma):
-        n_i = lengths[depth]
-        cap = carry[0] + n_i * math.log2(1.0 + gamma)
-        disp = carry[1] + n_i * (1.0 - (1.0 + gamma) ** -2)
+        cap = carry[0] + lengths[depth] * np.log2(1.0 + gamma)
+        disp = carry[1] + lengths[depth] * (1.0 - np.power(1.0 + gamma, -2.0))
         d = disp * scale
-        if d == 0.0:
-            return (cap, disp), (1.0 if cap <= k else 0.0)
-        x = (cap - k + log2_total[depth]) / math.sqrt(d)
-        return (cap, disp), min(1.0, max(0.0, 0.5 * math.erfc(x / _SQRT2)))
+        return (cap, disp), _eps(cap, k, cap - k + log2_total[depth], d, np.sqrt(d))
 
     return step_ir, (0.0, 0.0)
 
@@ -214,7 +216,7 @@ def per_cc(code: CodeParams, snrs: Sequence[float], kernel: KernelOptions = DEFA
     for g in snrs:
         check_snr(g)
     step, carry = round_stepper(code, (code.n,), Scheme.CC, kernel)
-    return step(carry, 0, math.fsum(snrs))[1]
+    return float(step(carry, 0, math.fsum(snrs))[1])
 
 
 def per_ir(code: CodeParams, record: TransmissionRecord, kernel: KernelOptions = DEFAULT_KERNEL) -> float:
@@ -227,4 +229,4 @@ def per_ir(code: CodeParams, record: TransmissionRecord, kernel: KernelOptions =
     step, carry = round_stepper(code, record.lengths, Scheme.IR, kernel)
     for depth, g in enumerate(record.snrs):
         carry, eps = step(carry, depth, g)
-    return eps
+    return float(eps)

@@ -8,18 +8,17 @@ Four independent checks live here:
     J0(2*pi*f_d*tau) and whose envelope tends to Rayleigh as the number of
     oscillators grows;
   - simulate_harq: packet-level HARQ against a fixed SNR or against a
-    fading trace; each round costs one step of the analysis's kernel,
-    fbl.round_stepper, on the packet's running carry;
+    fading trace, on the analysis's kernel over blocks of packets;
   - outcomes_fading_mc_check: packet resolution on state paths sampled
     from an FSMC model itself, the Monte Carlo replica of
     fading.outcomes_fading;
   - validate_fsmc: quantises a trace with a model's thresholds and compares
     empirical state occupancies and transitions against the model.
 
-simulate_harq and outcomes_fading_mc_check both return a SimResult.  A
-packet's rounds are resolved against one shared uniform draw thresholded
-by the running combined-decoder error probability.  This realises exactly
-the nested failure events of the analytic model (fail with j rounds implies
+Both simulators return a SimResult and share one rule, _first_success: a
+packet's rounds are resolved against one uniform draw thresholded by the
+running combined-decoder error probability.  This realises exactly the
+nested failure events of the analytic model (fail with j rounds implies
 fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
 error by orders of magnitude.
@@ -39,6 +38,8 @@ from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
 from .fsmc import FsmcModel
 from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_probs
 from .delay import DelayPmf, single_packet_delay
+
+_BLOCK = 1 << 14  # packets or trace offsets per kernel step
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,41 @@ def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int)
     )
 
 
+def _first_success(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The resolution rule: a packet (column) resolves at the first round j with u >= eps[j], else m."""
+    ok = u >= eps
+    return np.where(ok.any(axis=0), ok.argmax(axis=0), len(eps))
+
+
+def _resolve(cfg: HarqConfig, kernel: KernelOptions, snrs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_first_success of packets with round-j SNRs snrs[j], _BLOCK packets per kernel step."""
+    step, start = cfg.stepper(kernel)
+    resolved = np.empty(len(u), dtype=np.min_scalar_type(cfg.m + 1))
+    for lo in range(0, len(u), _BLOCK):
+        carry, eps = start, []
+        for j, row in enumerate(snrs[:, lo:lo + _BLOCK]):
+            carry, e = step(carry, j, row)
+            eps.append(e)
+        resolved[lo:lo + _BLOCK] = _first_success(np.array(eps), u[lo:lo + _BLOCK])
+    return resolved
+
+
+def _chain_starts(advance: np.ndarray, packets: int, samples: int) -> np.ndarray:
+    """Starts s_0 = 0, s_(i+1) = s_i + advance[s_i] of back-to-back packets, by
+    pointer doubling: jump maps an offset to the start 2^i packets on, and
+    offsets past the trace's last full packet map to the sentinel len(advance)."""
+    n = len(advance)
+    jump = np.minimum(np.arange(n + 1) + np.append(advance, 0), n)
+    starts = np.zeros(1, dtype=jump.dtype)
+    while len(starts) < packets:
+        starts, jump = np.concatenate((starts, jump[starts])), jump[jump]
+    done = int(np.count_nonzero(starts[:packets] < n))
+    if done < packets:
+        raise ResourceLimitError(
+            f"trace of {samples} samples exhausted after {done} packets; generate a longer trace")
+    return starts[:packets]
+
+
 def simulate_harq(
     cfg: HarqConfig,
     channel: float | TraceChannel,
@@ -151,7 +187,8 @@ def simulate_harq(
     consecutive samples supply the per-round SNRs.  packet_start selects
     whether the trace advances continuously across packets (physical
     back-to-back behaviour) or jumps to an independent random position for
-    every packet.
+    every packet.  In continuous mode each trace offset draws one uniform;
+    start offsets are stopping times, so that is one uniform per packet.
     """
     if packets < 1_000:
         raise DomainError(f"need at least 1e3 packets, got {packets}")
@@ -160,42 +197,23 @@ def simulate_harq(
     m = cfg.m
     rng = np.random.default_rng(seed)
 
-    if isinstance(channel, TraceChannel):
-        check_snr(channel.avg_snr)
-        step, start = cfg.stepper(kernel)
-        gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
-        u = rng.random(packets)
-        if packet_start == "iid":
-            starts = rng.integers(0, len(gains) - m, size=packets)
-        resolved = np.empty(packets, dtype=np.int64)
-        ptr = 0
-        for i in range(packets):
-            if packet_start == "iid":
-                ptr = int(starts[i])
-            elif ptr + m > len(gains):
-                raise ResourceLimitError(
-                    f"trace of {len(gains)} samples exhausted after {i} packets; "
-                    f"generate a longer trace"
-                )
-            carry = start
-            res = m
-            for j in range(m):
-                carry, eps_j = step(carry, j, float(gains[ptr + j]))
-                if u[i] >= eps_j:
-                    res = j
-                    break
-            resolved[i] = res
-            if packet_start == "continuous":
-                ptr += (res + 1) if res < m else m
-        return _result_from_resolution(cfg, resolved, packets)
+    if not isinstance(channel, TraceChannel):
+        eps = np.array(prefix_error_probs(cfg, float(channel), kernel))
+        return _result_from_resolution(cfg, _first_success(eps[:, None], rng.random(packets)), packets)
 
-    eps = prefix_error_probs(cfg, float(channel), kernel)
-    u = rng.random(packets)
-    resolved = np.full(packets, m, dtype=np.int64)
-    for j in range(m):
-        newly = (resolved == m) & (u >= eps[j])
-        resolved[newly] = j
-    return _result_from_resolution(cfg, resolved, packets)
+    check_snr(channel.avg_snr)
+    gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
+    if len(gains) <= m:
+        raise ResourceLimitError(
+            f"trace of {len(gains)} samples exhausted after 0 packets; generate a longer trace")
+    # windows[j, t] is round j's SNR of a packet that starts at offset t
+    windows = np.lib.stride_tricks.sliding_window_view(gains, m).T
+    if packet_start == "iid":
+        u, starts = rng.random(packets), rng.integers(0, len(gains) - m, size=packets)  # in this order
+        return _result_from_resolution(cfg, _resolve(cfg, kernel, windows[:, starts], u), packets)
+    resolved = _resolve(cfg, kernel, windows, rng.random(windows.shape[1]))
+    starts = _chain_starts(np.minimum(resolved + 1, m), packets, len(gains))
+    return _result_from_resolution(cfg, resolved[starts], packets)
 
 
 def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) -> SimResult:
@@ -217,29 +235,12 @@ def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) 
     states = [rng.choice(L, size=trials, p=q / q.sum())]
     cum_rows = np.cumsum(np.asarray(model.transitions), axis=1)
     for _ in range(m - 1):
-        u = rng.random(trials)
         # clip guards the one-ulp shortfall of a row sum below 1.0
-        nxt = np.minimum((u[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1)
-        states.append(nxt)
+        states.append(np.minimum((rng.random(trials)[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1))
 
     u_decode = rng.random(trials)
-    resolved = np.full(trials, m, dtype=np.int64)  # m means residual error
-    step, start = cfg.stepper(query.kernel)
-    snrs = model.state_snrs
-    # one kernel step per distinct sampled path: a depth-j path is its
-    # depth-(j-1) prefix (an index into the previous distinct paths) and
-    # its last state
-    carries = [start]
-    prefix = np.zeros(trials, dtype=np.int64)
-    for depth in range(m):
-        key = np.ravel_multi_index((prefix, states[depth]), (len(carries), L))
-        distinct, prefix = np.unique(key, return_inverse=True)
-        stepped = [step(carries[i // L], depth, snrs[i % L]) for i in distinct.tolist()]
-        carries = [c for c, _ in stepped]
-        eps = np.array([e for _, e in stepped])[prefix]
-        newly = (resolved == m) & (u_decode >= eps)
-        resolved[newly] = depth
-    return _result_from_resolution(cfg, resolved, trials)
+    snrs = np.asarray(model.state_snrs)[np.array(states)]
+    return _result_from_resolution(cfg, _resolve(cfg, query.kernel, snrs, u_decode), trials)
 
 
 @dataclass(frozen=True)

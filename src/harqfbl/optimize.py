@@ -1,11 +1,10 @@
 """Grid search of retransmission coefficients under a PER constraint.
 
 A channel is either a linear SNR or an FsmcModel; outcome_on evaluates a
-configuration on either, and at_snr moves either to another mean SNR.
-For each candidate coefficient vector the full outcome distribution is
-evaluated, and the feasible point with the highest throughput wins.  Ties
-break toward the shorter retransmission, which also means less queueing
-delay.
+configuration on either, outcome_grid a whole grid of candidate taus in
+one batch, and at_snr moves either to another mean SNR.  The feasible
+candidate with the highest throughput wins.  Ties break toward the
+shorter retransmission, which also means less queueing delay.
 """
 
 from __future__ import annotations
@@ -16,12 +15,25 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear
-from .fading import DEFAULT_PATH_BUDGET, FadingOutcomeQuery, outcomes_fading
+from .fading import DEFAULT_PATH_BUDGET, FadingOutcomeQuery, outcomes_fading, prefix_error_grid
 from .fsmc import FsmcModel
-from .outcomes import HarqConfig, OutcomeDistribution, outcomes_awgn, throughput
+from .outcomes import (HarqConfig, OutcomeDistribution, distribution_from_prefix_errors, outcomes_awgn,
+                       throughput)
 
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
+
+
+def outcome_grid(cfg_base: HarqConfig, channel: float | FsmcModel,
+                 candidates: Sequence[tuple[float, ...]],
+                 kernel: KernelOptions = DEFAULT_KERNEL,
+                 path_budget: int = DEFAULT_PATH_BUDGET) -> Iterable[tuple[HarqConfig, OutcomeDistribution]]:
+    """(config, outcome distribution) of cfg_base with each candidate taus, computed in one batch."""
+    if not candidates:
+        raise DomainError("candidate list must be nonempty")
+    cfgs = [cfg_base.with_taus(tuple(taus)) for taus in candidates]
+    A = prefix_error_grid(cfgs, channel, kernel, path_budget)
+    return ((cfg, distribution_from_prefix_errors(tuple(A[:, i].tolist()))) for i, cfg in enumerate(cfgs))
 
 
 def outcome_on(cfg: HarqConfig, channel: float | FsmcModel,
@@ -84,12 +96,6 @@ class OptimizationProblem:
         if self.constraint not in ("ceiling", "floor"):
             raise DomainError(f"unknown constraint direction {self.constraint!r}")
 
-    def evaluate(self, taus: tuple[float, ...]) -> tuple[float, float]:
-        """(residual PER, throughput) of the base config with these taus."""
-        cfg = self.cfg_base.with_taus(taus)
-        outcome = outcome_on(cfg, self.channel, self.kernel, self.path_budget)
-        return outcome.p_e, throughput(cfg, outcome)
-
     def is_feasible(self, per: float) -> bool:
         if self.constraint == "ceiling":
             return per <= self.per_ceiling
@@ -114,15 +120,14 @@ class OptimizationReport:
 
 def _report(problem: OptimizationProblem, candidates: Sequence[tuple[float, ...]],
             tie_key) -> OptimizationReport:
-    frontier = []
-    for taus in candidates:
-        per, tp = problem.evaluate(taus)
-        frontier.append(FrontierPoint(taus, per, tp, problem.is_feasible(per)))
+    frontier = [FrontierPoint(cfg.taus, out.p_e, throughput(cfg, out), problem.is_feasible(out.p_e))
+                for cfg, out in outcome_grid(problem.cfg_base, problem.channel, candidates,
+                                             problem.kernel, problem.path_budget)]
     feasible_pts = [p for p in frontier if p.feasible]
     if feasible_pts:
         best = max(feasible_pts, key=lambda p: (p.throughput, tie_key(p.taus)))
         return OptimizationReport(best.taus, best.per, best.throughput, True, tuple(frontier))
-    best = min(frontier, key=lambda p: (p.per, -tie_key(p.taus)))
+    best = max(frontier, key=lambda p: (-p.per, tie_key(p.taus)))
     return OptimizationReport(best.taus, best.per, best.throughput, False, tuple(frontier))
 
 

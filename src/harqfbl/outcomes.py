@@ -10,12 +10,18 @@ after j rounds, the chain of nested failure events gives
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, HarqFblError
 from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_snr, round_stepper
+
+
+def round_lengths(taus, n: int) -> np.ndarray:
+    """Symbols per round, tau*n rounded to nearest with a floor of 1, per element."""
+    return np.maximum(1, np.floor(np.asarray(taus, dtype=float) * n + 0.5)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,6 @@ class HarqConfig:
     scheme: Scheme
     m: int
     taus: tuple[float, ...]
-    require_nonincreasing: bool = False
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -45,14 +50,10 @@ class HarqConfig:
                 raise DomainError(f"coefficients must lie in (0, 1], got {t}")
         if self.scheme is Scheme.CC and any(t != 1.0 for t in self.taus):
             raise DomainError("chase combining repeats the full codeword; all taus must be 1")
-        if self.require_nonincreasing:
-            for a, b in zip(self.taus[1:], self.taus[2:]):
-                if b > a:
-                    raise DomainError(f"retransmission coefficients must be nonincreasing, got {self.taus}")
 
     def round_lengths(self) -> tuple[int, ...]:
-        """Symbol count per round; tau*n rounded to nearest, floor 1."""
-        return tuple(max(1, int(math.floor(t * self.code.n + 0.5))) for t in self.taus)
+        """Symbol count per round; see round_lengths."""
+        return tuple(round_lengths(self.taus, self.code.n).tolist())
 
     def stepper(self, kernel: KernelOptions = DEFAULT_KERNEL) -> tuple[Callable, object]:
         """The kernel's round stepper for this code, scheme and round lengths."""
@@ -87,10 +88,6 @@ class OutcomeDistribution:
     def total(self) -> float:
         return sum(self.p) + self.p_e
 
-    def check_normalised(self, tol: float = 1e-9) -> None:
-        if abs(self.total - 1.0) > tol:
-            raise DomainError(f"outcome probabilities sum to {self.total}, not 1")
-
 
 def prefix_error_probs(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DEFAULT_KERNEL) -> tuple[float, ...]:
     """eps_j for j = 1..m rounds, all rounds at the same SNR."""
@@ -99,7 +96,7 @@ def prefix_error_probs(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DE
     eps = []
     for depth in range(cfg.m):
         carry, e = step(carry, depth, gamma)
-        eps.append(e)
+        eps.append(float(e))
     return tuple(eps)
 
 

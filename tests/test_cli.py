@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 
 import harqfbl
-from harqfbl import ConfigError, FsmcModel
+from harqfbl import (
+    CodeParams,
+    ConfigError,
+    FsmcModel,
+    HarqConfig,
+    Scheme,
+    db_to_linear,
+    outcomes_awgn,
+    single_packet_delay,
+    stream_delay,
+)
+from harqfbl import cli
 from harqfbl.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRUCTION,
@@ -166,6 +177,9 @@ class TestCommands:
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus = 1\n")
         assert main(["per-curve", "--config", str(bad)]) == EXIT_CONFIG
+        no_m = tmp_path / "no_m.cfg"
+        no_m.write_text("n = 100\nk = 70\nsnr_db = -1\n")
+        assert main(["per-curve", "--config", str(no_m)]) == EXIT_CONFIG
         # 13 states cannot dwell 3.0446 blocks each at f_d*t_tb = 0.04
         infeasible = tmp_path / "model.cfg"
         infeasible.write_text(
@@ -189,6 +203,26 @@ class TestCommands:
         assert all(x == f"{float(x):.12g}" for x in numbers)
         # some tail value needs all twelve digits, so none were cut shorter
         assert any(len(x.lstrip("-0.").replace(".", "").split("e")[0]) == 12 for x in numbers)
+
+    def test_delay_csv_reports_pruned_mass(self, tmp_path, monkeypatch):
+        # a tight lattice budget makes the stream prune its far tail; the
+        # last column carries the mass it dropped
+        budget = 300
+        monkeypatch.setattr(cli, "stream_delay", lambda pmf, n: stream_delay(pmf, n, atom_budget=budget))
+        assert main(["delay", "--preset", "fig3", "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "fig3_delay.csv").read_text().splitlines()
+        assert lines[[l.startswith("scheme") for l in lines].index(True)] == (
+            "scheme,k,tau1,overhead,ccdf,pruned_mass"
+        )
+        body = [l.split(",") for l in lines if l and not l.startswith(("#", "scheme"))]
+        for scheme, taus in (("CC", (1.0, 1.0)), ("IR", (1.0, 0.4))):
+            for k in (50, 70, 90):
+                cfg = HarqConfig(CodeParams(100, k), Scheme(scheme), 2, taus)
+                pmf = single_packet_delay(cfg, outcomes_awgn(cfg, db_to_linear(-4.0)))
+                pruned = stream_delay(pmf, 1000, atom_budget=budget).pruned_mass
+                assert pruned > 0.0
+                column = {row[5] for row in body if row[:2] == [scheme, str(k)]}
+                assert column == {f"{pruned:.12g}"}
 
     @pytest.mark.parametrize("command, preset", [("per-curve", "fig2a"), ("per-surface", "fig5")])
     @pytest.mark.parametrize("grid", ["0.5,0.2", "0.2,0.2", "0.0,0.5", "0.5,1.5"])
@@ -218,9 +252,19 @@ class TestCommands:
 
 
 def test_import_loads_no_scipy():
-    # a module-level scipy import about triples the import time of the
-    # package, which every CLI run pays; scipy is imported inside functions
-    code = "import harqfbl, harqfbl.cli, sys; print('scipy' in sys.modules)"
+    # a scipy import about triples the import time of the package, which
+    # every CLI run pays; the kernel and its callers must not load it lazily
+    code = (
+        "import sys\n"
+        "import harqfbl, harqfbl.cli\n"
+        "from harqfbl import *\n"
+        "cfg = HarqConfig(CodeParams(100, 70), Scheme.IR, 2, (1.0, 0.6))\n"
+        "outcomes_awgn(cfg, 1.0)\n"
+        "model = build_fixed_sojourn(4, 3.0446, 0.0855 / 0.00014, 0.00014, 10.0)\n"
+        "outcomes_fading(FadingOutcomeQuery(cfg, model))\n"
+        "simulate_harq(cfg, 1.0, 1_000, 0)\n"
+        "print('scipy' in sys.modules)\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(harqfbl.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr

@@ -18,7 +18,16 @@ from harqfbl import (
     single_packet_delay,
     stream_delay,
 )
-from harqfbl.delay import ccdf_at
+
+
+def ccdf_at(curve: list[tuple[float, float]], x: float) -> float:
+    """A right-continuous tail curve P(X > x) at an arbitrary x."""
+    result = 1.0
+    for point, tail in curve:
+        if point > x:
+            break
+        result = tail
+    return result
 
 
 def ir_cfg(k, taus, n=100):
@@ -81,6 +90,16 @@ class TestStreamDelay:
         assert stream.support == closed.support
         for a, b in zip(stream.mass, closed.mass):
             assert abs(a - b) <= 1e-12
+
+    def test_binomial_closed_form_beyond_float_range(self):
+        # C(2000, i) exceeds the float range; masses below it underflow to 0
+        closed = binomial_stream_delay(2000, 0.4, 0.2)
+        assert abs(closed.total - 1.0) <= 1e-9
+        stream = stream_delay(DelayPmf((Fraction(1), Fraction(7, 5)), (0.8, 0.2)), 2000)
+        atoms = dict(zip(stream.support, stream.mass))
+        assert set(atoms) <= set(closed.support)
+        for d, m in zip(closed.support, closed.mass):
+            assert abs(m - atoms.get(d, 0.0)) <= 1e-12
 
     @given(st.integers(2, 64))
     @settings(max_examples=20, deadline=None)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from harqfbl import (
@@ -19,7 +20,9 @@ from harqfbl import (
     per_cc,
     per_ir,
 )
+from harqfbl.fading import _BLOCK_ELEMENTS, prefix_error_grid
 from harqfbl.fbl import TransmissionRecord
+from harqfbl.optimize import FINE_TAU_GRID
 
 
 def fig4a_model(snr_db=11.5):
@@ -184,6 +187,33 @@ class TestOutcomesFading:
         query = FadingOutcomeQuery(ir_cfg(70, (1.0, 0.6)), fig4a_model(), path_budget=10)
         with pytest.raises(ResourceLimitError, match="Monte Carlo"):
             outcomes_fading(query)
+
+
+class TestPrefixErrorGrid:
+    @pytest.mark.parametrize(
+        "kernel",
+        [KernelOptions(units, den) for units in ("nats2", "bits2") for den in ("sqrt_nv", "n_sqrt_v")],
+        ids=lambda k: f"{k.dispersion_units}-{k.cc_denominator}",
+    )
+    @pytest.mark.parametrize("scheme", [Scheme.IR, Scheme.CC], ids=["IR", "CC"])
+    def test_batch_equals_single_candidates(self, scheme, kernel):
+        # the fine m = 3 triangle spans several blocks of the candidate axis;
+        # no broadcast or block boundary may change a single bit
+        model = fig4a_model(12.0)
+        base = HarqConfig(CodeParams(100, 70), scheme, 3, (1.0, 1.0, 1.0))
+        if scheme is Scheme.IR:
+            cfgs = [base.with_taus((1.0, a, b)) for a in FINE_TAU_GRID for b in FINE_TAU_GRID if b <= a]
+        else:
+            cfgs = [base] * 5050  # chase combining has one candidate; repeat it
+        adjacent = (np.asarray(model.transitions) > 0.0).astype(int)
+        deepest = int((np.asarray(model.q) > 0.0) @ adjacent @ adjacent @ np.ones(13))
+        assert len(cfgs) * deepest > 2 * _BLOCK_ELEMENTS  # more than two blocks
+        batch = prefix_error_grid(cfgs, model, kernel)
+        singles = {}
+        for i, cfg in enumerate(cfgs):
+            if cfg.taus not in singles:
+                singles[cfg.taus] = prefix_error_grid([cfg], model, kernel)[:, 0]
+            assert np.array_equal(batch[:, i], singles[cfg.taus]), cfg.taus
 
 
 class TestMcCheck:

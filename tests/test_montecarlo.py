@@ -150,6 +150,13 @@ class TestSimulateFading:
         with pytest.raises(ResourceLimitError, match="longer trace"):
             simulate_harq(cfg, TraceChannel(trace, model.avg_snr), 2000, 3)
 
+    @pytest.mark.parametrize("packet_start", ["continuous", "iid"])
+    def test_trace_of_one_packet_raises(self, fading_setup, packet_start):
+        cfg, model, _ = fading_setup
+        trace = generate_trace(model.f_d, model.t_tb, cfg.m, 23)
+        with pytest.raises(ResourceLimitError, match="longer trace"):
+            simulate_harq(cfg, TraceChannel(trace, model.avg_snr), 1000, 3, packet_start=packet_start)
+
 
 class TestValidateFsmc:
     def test_two_state_occupancy_within_three_sigma(self):

@@ -11,9 +11,11 @@ from harqfbl import (
     db_to_linear,
     optimize_tau1,
     optimize_tau12,
+    outcome_on,
     sweep,
+    throughput,
 )
-from harqfbl.optimize import FINE_TAU_GRID, reports_csv_lines
+from harqfbl.optimize import FINE_TAU_GRID, outcome_grid, reports_csv_lines
 
 
 def base_cfg(k, m=2, n=100):
@@ -38,6 +40,10 @@ class TestOptimizeTau1:
         # at high SNR nothing needs retransmitting, so the shortest wins
         assert report.tau_hat == (1.0, COARSE_TAU_GRID[0])
 
+    def test_empty_candidate_list_rejected(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            outcome_grid(base_cfg(70), 1.0, [])
+
     def test_requires_two_transmissions(self):
         with pytest.raises(DomainError):
             optimize_tau1(OptimizationProblem(base_cfg(70, m=3), 1.0, per_ceiling=0.1))
@@ -46,7 +52,9 @@ class TestOptimizeTau1:
         problem = OptimizationProblem(base_cfg(70), slow_fading(12.0), per_ceiling=0.01)
         report = optimize_tau1(problem)
         assert report.feasible
-        per, tp = problem.evaluate(report.tau_hat)
+        cfg = problem.cfg_base.with_taus(report.tau_hat)
+        out = outcome_on(cfg, problem.channel)
+        per, tp = out.p_e, throughput(cfg, out)
         assert per <= 0.01 + 1e-12
         assert abs(per - report.achieved_per) <= 1e-12
         assert abs(tp - report.achieved_throughput) <= 1e-12
@@ -119,6 +127,13 @@ class TestOptimizeTau12:
         assert split.per <= 1e-4
         assert split.throughput > full.throughput
         assert report.achieved_throughput >= split.throughput
+
+    def test_infeasible_reports_minimum_per_point(self):
+        # the m = 3 tie key is a tuple; ranking the infeasible points must not negate it
+        problem = OptimizationProblem(base_cfg(100, m=3), slow_fading(8.0), per_ceiling=1e-9)
+        report = optimize_tau12(problem)
+        assert not report.feasible
+        assert report.achieved_per == min(p.per for p in report.frontier)
 
     def test_vacuous_constraint(self):
         problem = OptimizationProblem(base_cfg(70, m=3), db_to_linear(-4.0), per_ceiling=1.0)

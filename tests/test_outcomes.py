@@ -40,11 +40,6 @@ class TestHarqConfig:
         with pytest.raises(DomainError):
             HarqConfig(CodeParams(100, 50), Scheme.IR, 3, (1.0, 0.5))
 
-    def test_nonincreasing_flag(self):
-        with pytest.raises(DomainError):
-            HarqConfig(CodeParams(100, 50), Scheme.IR, 3, (1.0, 0.4, 0.6), require_nonincreasing=True)
-        HarqConfig(CodeParams(100, 50), Scheme.IR, 3, (1.0, 0.6, 0.4), require_nonincreasing=True)
-
     def test_round_lengths_round_to_nearest(self):
         cfg = make_ir(100, 50, [1.0, 0.58, 0.004])
         assert cfg.round_lengths() == (100, 58, 1)
