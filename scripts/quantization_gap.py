@@ -26,7 +26,6 @@ from harqfbl import (
     db_to_linear,
     generate_trace,
     outcomes_fading,
-    outcomes_fading_mc_check,
     simulate_harq,
     throughput,
 )
@@ -38,7 +37,7 @@ def run(snr_db: float, tau1: float, k: int, packets: int, seed: int) -> None:
     query = FadingOutcomeQuery(cfg, model)
 
     analytic = outcomes_fading(query)
-    chain = outcomes_fading_mc_check(query, packets, seed)
+    chain = simulate_harq(cfg, model, packets, seed)
     trace = generate_trace(model.f_d, model.t_tb, packets * 2 + 2, seed + 1)
     sim = simulate_harq(cfg, TraceChannel(trace, model.avg_snr), packets, seed + 2)
 

@@ -26,7 +26,6 @@ from .outcomes import (
     OutcomeDistribution,
     Scheme,
     outcomes_awgn,
-    prefix_error_probs,
     throughput,
 )
 from .fsmc import (
@@ -65,7 +64,6 @@ from .montecarlo import (
     SimResult,
     TraceChannel,
     generate_trace,
-    outcomes_fading_mc_check,
     simulate_harq,
     validate_fsmc,
 )

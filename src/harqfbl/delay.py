@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
+from .fbl import check_length
 from .outcomes import HarqConfig, OutcomeDistribution
 
 _TAU_DENOMINATOR_LIMIT = 1_000_000
@@ -134,8 +135,7 @@ def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_
     dropped mass is reported on the result, and a lattice that stays too
     large raises.
     """
-    if n_packets < 1:
-        raise DomainError(f"need at least one packet, got {n_packets}")
+    check_length("packet count n_packets", n_packets)
     base, denom = _to_lattice(pmf)
     result: _Lattice | None = None
     pruned = 0.0
@@ -169,10 +169,11 @@ def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float)
     tau1 = 1 (chase combining) the support is {N .. 2N}.  Masses are taken
     in log space from the exact C(N, i), so those below the float range are 0.
     """
-    if n_packets < 1:
-        raise DomainError(f"need at least one packet, got {n_packets}")
+    check_length("packet count n_packets", n_packets)
     if not 0.0 <= p_fail <= 1.0:
         raise DomainError(f"failure probability out of range: {p_fail}")
+    if not math.isfinite(tau1):
+        raise DomainError(f"tau1 must be finite, got {tau1}")
     t = _as_fraction(tau1)
     atoms: dict[Fraction, float] = {}
     for i in range(n_packets + 1):
@@ -200,8 +201,7 @@ def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]
     Zero overhead means every packet went through on its first try; the
     curve starts at 1 below the smallest support point and ends at 0.
     """
-    if n_packets < 1:
-        raise DomainError(f"need at least one packet, got {n_packets}")
+    check_length("packet count n_packets", n_packets)
     tails = _suffix_tails(stream.mass)
     return [
         (float((d - n_packets) / n_packets), t) for d, t in zip(stream.support, tails)

@@ -11,8 +11,8 @@ combining disciplines are covered:
 
 round_stepper is the one place the Q-function argument is evaluated, on
 numpy arrays over tau candidates x state paths or over packets.  per_cc,
-per_ir, the outcome distributions, the fading path walk and the Monte
-Carlo simulator all call it.  Probabilities are clamped to [0, 1].
+per_ir, the path walk outcomes.prefix_error_grid and the Monte Carlo
+simulator all call it.  Probabilities are clamped to [0, 1].
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ LOG2E_SQ = (1.0 / math.log(2.0)) ** 2
 
 
 def db_to_linear(snr_db: float) -> float:
-    """Convert an SNR in dB to a linear power ratio."""
-    return 10.0 ** (snr_db / 10.0)
+    """Convert an SNR in dB to a linear power ratio; inf dB stays inf."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"SNR of {snr_db} dB overflows a linear power ratio") from None
 
 
 def linear_to_db(snr_linear: float) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import ConstructionError, DomainError
-from .fbl import db_to_linear, linear_to_db
+from .fbl import check_length, db_to_linear, linear_to_db
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -252,7 +252,7 @@ class FsmcModel:
                 t_tb=obj["t_tb_s"],
                 c=obj["c"],
             )
-        except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, DomainError, json.JSONDecodeError) as exc:
             raise DomainError(f"malformed FSMC model JSON ({type(exc).__name__}: {exc})") from None
         model.validate(tol_row=1e-9, tol_q=1e-9)
         return model
@@ -356,6 +356,9 @@ def from_target_c(
     Scans L = 2 .. max_states, skipping state counts whose models violate
     the time-block bound.
     """
+    if not math.isfinite(c_target):
+        raise DomainError(f"c_target must be finite, got {c_target}")
+    check_length("max_states", max_states)
     best: FsmcModel | None = None
     for L in range(2, max_states + 1):
         try:

@@ -1,21 +1,20 @@
 """Stochastic validation of the analytic pipeline.
 
-Four independent checks live here:
+Three independent checks live here:
 
   - generate_trace: a correlated Rayleigh fading process synthesised from
     equal-power sinusoids with uniformly random arrival angles and phases,
     whose ensemble autocorrelation is the zeroth-order Bessel function
     J0(2*pi*f_d*tau) and whose envelope tends to Rayleigh as the number of
     oscillators grows;
-  - simulate_harq: packet-level HARQ against a fixed SNR or against a
-    fading trace, on the analysis's kernel over blocks of packets;
-  - outcomes_fading_mc_check: packet resolution on state paths sampled
-    from an FSMC model itself, the Monte Carlo replica of
-    fading.outcomes_fading;
+  - simulate_harq: the one simulator, packet-level HARQ on the analysis's
+    kernel against a fixed SNR, against state paths sampled from an FSMC
+    model itself (the Monte Carlo replica of fading.outcomes_fading), or
+    against a fading trace;
   - validate_fsmc: quantises a trace with a model's thresholds and compares
     empirical state occupancies and transitions against the model.
 
-Both simulators return a SimResult and share one rule, _first_success: a
+Every channel returns a SimResult and shares one rule, _first_success: a
 packet's rounds are resolved against one uniform draw thresholded by the
 running combined-decoder error probability.  This realises exactly the
 nested failure events of the analytic model (fail with j rounds implies
@@ -27,19 +26,25 @@ error by orders of magnitude.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .fading import FadingOutcomeQuery
-from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
+from .fbl import DEFAULT_KERNEL, KernelOptions, check_length, check_snr, round_stepper
 from .fsmc import FsmcModel
-from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_probs
+from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_grid
 from .delay import DelayPmf, single_packet_delay
 
 _BLOCK = 1 << 14  # packets or trace offsets per kernel step
+
+
+def _check_seed(seed: int) -> None:
+    # check_length's rule, except that a seed may be 0
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,9 @@ def generate_trace(
     h(t) = sum_k exp(j*(2*pi*f_d*cos(alpha_k)*t + phi_k)) / sqrt(K) with
     alpha_k, phi_k iid uniform on [0, 2*pi); E|h|^2 = 1 exactly.
     """
-    if length < 1:
-        raise DomainError(f"trace length must be positive, got {length}")
-    if n_oscillators < 1:
-        raise DomainError(f"need at least one oscillator, got {n_oscillators}")
+    check_length("trace length", length)
+    check_length("oscillator count", n_oscillators)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.0, 2.0 * math.pi, n_oscillators)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_oscillators)
@@ -146,7 +150,7 @@ def _first_success(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _resolve(cfg: HarqConfig, kernel: KernelOptions, snrs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """_first_success of packets with round-j SNRs snrs[j], _BLOCK packets per kernel step."""
-    step, start = cfg.stepper(kernel)
+    step, start = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
     resolved = np.empty(len(u), dtype=np.min_scalar_type(cfg.m + 1))
     for lo in range(0, len(u), _BLOCK):
         carry, eps = start, []
@@ -175,7 +179,7 @@ def _chain_starts(advance: np.ndarray, packets: int, samples: int) -> np.ndarray
 
 def simulate_harq(
     cfg: HarqConfig,
-    channel: float | TraceChannel,
+    channel: float | FsmcModel | TraceChannel,
     packets: int,
     seed: int,
     kernel: KernelOptions = DEFAULT_KERNEL,
@@ -183,23 +187,40 @@ def simulate_harq(
 ) -> SimResult:
     """Packet-level HARQ simulation returning empirical outcome statistics.
 
-    channel is a linear SNR for the fixed-SNR case, or a TraceChannel whose
-    consecutive samples supply the per-round SNRs.  packet_start selects
-    whether the trace advances continuously across packets (physical
-    back-to-back behaviour) or jumps to an independent random position for
-    every packet.  In continuous mode each trace offset draws one uniform;
-    start offsets are stopping times, so that is one uniform per packet.
+    channel is a linear SNR for the fixed-SNR case; an FsmcModel, on which
+    each packet's first state is drawn from q and each retransmission
+    advances the chain one step, so that agreement with
+    fading.outcomes_fading is limited only by sampling noise; or a
+    TraceChannel whose consecutive samples supply the per-round SNRs.
+    packet_start selects whether the trace advances continuously across
+    packets (physical back-to-back behaviour) or jumps to an independent
+    random position for every packet.  In continuous mode each trace offset
+    draws one uniform; start offsets are stopping times, so that is one
+    uniform per packet.
     """
+    check_length("packets", packets)
     if packets < 1_000:
         raise DomainError(f"need at least 1e3 packets, got {packets}")
+    _check_seed(seed)
     if packet_start not in ("continuous", "iid"):
         raise DomainError(f"unknown packet_start mode {packet_start!r}")
     m = cfg.m
     rng = np.random.default_rng(seed)
 
+    if isinstance(channel, FsmcModel):
+        snrs = np.asarray(channel.state_snrs)
+        check_snr(snrs.min())  # NaN propagates, so it fails too
+        L, q = channel.n_states, np.asarray(channel.q)
+        states = [rng.choice(L, size=packets, p=q / q.sum())]
+        cum_rows = np.cumsum(np.asarray(channel.transitions), axis=1)
+        for _ in range(m - 1):
+            # clip guards the one-ulp shortfall of a row sum below 1.0
+            states.append(np.minimum((rng.random(packets)[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1))
+        u = rng.random(packets)  # drawn after the paths
+        return _result_from_resolution(cfg, _resolve(cfg, kernel, snrs[np.array(states)], u), packets)
     if not isinstance(channel, TraceChannel):
-        eps = np.array(prefix_error_probs(cfg, float(channel), kernel))
-        return _result_from_resolution(cfg, _first_success(eps[:, None], rng.random(packets)), packets)
+        eps = prefix_error_grid([cfg], channel, kernel)
+        return _result_from_resolution(cfg, _first_success(eps, rng.random(packets)), packets)
 
     check_snr(channel.avg_snr)
     gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
@@ -214,33 +235,6 @@ def simulate_harq(
     resolved = _resolve(cfg, kernel, windows, rng.random(windows.shape[1]))
     starts = _chain_starts(np.minimum(resolved + 1, m), packets, len(gains))
     return _result_from_resolution(cfg, resolved[starts], packets)
-
-
-def outcomes_fading_mc_check(query: FadingOutcomeQuery, trials: int, seed: int) -> SimResult:
-    """Monte Carlo replica of outcomes_fading on the same Markov model.
-
-    Samples first-round states from q, walks the chain with the transition
-    matrix, and resolves each packet against its path's running decoder
-    error probabilities using a single uniform draw (the nested-failure
-    coupling implied by the telescoped analytic model).  Agreement with
-    outcomes_fading is limited only by sampling noise.
-    """
-    if trials < 10_000:
-        raise DomainError(f"need at least 1e4 trials for stable frequencies, got {trials}")
-    cfg, model = query.cfg, query.model
-    L, m = model.n_states, cfg.m
-    rng = np.random.default_rng(seed)
-
-    q = np.asarray(model.q)
-    states = [rng.choice(L, size=trials, p=q / q.sum())]
-    cum_rows = np.cumsum(np.asarray(model.transitions), axis=1)
-    for _ in range(m - 1):
-        # clip guards the one-ulp shortfall of a row sum below 1.0
-        states.append(np.minimum((rng.random(trials)[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1))
-
-    u_decode = rng.random(trials)
-    snrs = np.asarray(model.state_snrs)[np.array(states)]
-    return _result_from_resolution(cfg, _resolve(cfg, query.kernel, snrs, u_decode), trials)
 
 
 @dataclass(frozen=True)
@@ -266,6 +260,7 @@ class FsmcValidation:
 
 def validate_fsmc(model: FsmcModel, trace: FadingTrace, n_blocks: int = 100) -> FsmcValidation:
     """Quantise a trace by the model thresholds and compare q and P."""
+    check_length("block count n_blocks", n_blocks)
     env = np.abs(trace.samples)
     edges = np.asarray(model.thresholds[1:-1])
     states = np.searchsorted(edges, env, side="right")

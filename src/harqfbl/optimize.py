@@ -15,10 +15,10 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear
-from .fading import DEFAULT_PATH_BUDGET, FadingOutcomeQuery, outcomes_fading, prefix_error_grid
+from .fading import FadingOutcomeQuery, outcomes_fading
 from .fsmc import FsmcModel
-from .outcomes import (HarqConfig, OutcomeDistribution, distribution_from_prefix_errors, outcomes_awgn,
-                       throughput)
+from .outcomes import (DEFAULT_PATH_BUDGET, HarqConfig, OutcomeDistribution, distribution_from_prefix_errors,
+                       outcomes_awgn, prefix_error_grid, throughput)
 
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))

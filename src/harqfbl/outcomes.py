@@ -1,22 +1,39 @@
-"""HARQ resolution-event probabilities and throughput on a fixed-SNR channel.
+"""HARQ resolution-event probabilities and throughput.
 
 A packet is resolved either by a success after exactly i retransmissions
 (probability p_i, i = 0 .. m-1) or by exhausting all m transmissions
-(residual error p_e).  With eps_j the combined-decoder error probability
-after j rounds, the chain of nested failure events gives
+(residual error p_e).  With A_j the expected combined-decoder error
+probability after j rounds, the chain of nested failure events gives
 
-    p_0 = 1 - eps_1,    p_i = eps_i - eps_{i+1},    p_e = eps_m.
+    p_0 = 1 - A_1,    p_i = A_i - A_{i+1},    p_e = A_m.
+
+On the finite-state Markov channel the first transmission's state is drawn
+from the marginal q and each retransmission advances the chain one step:
+
+    A_j = sum over state paths (l_0 .. l_{j-1}) of
+          q_{l_0} * prod P_{l_{i-1}, l_i} * eps_j(path SNRs).
+
+A fixed SNR is the one-state chain.  prefix_error_grid is the one place
+that computes A_1..A_m: it walks the state paths breadth-first over the
+nonzero transitions, and one fbl.round_stepper step advances all live
+paths of a depth for a batch of tau candidates.  The worst-case node
+count sum_j L^j is checked against an enumeration budget first; the
+sampled counterpart, montecarlo.simulate_harq on a model, needs none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, HarqFblError
-from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_snr, round_stepper
+from .errors import DomainError, HarqFblError, ResourceLimitError
+from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_length, check_snr, round_stepper
+from .fsmc import FsmcModel
+
+DEFAULT_PATH_BUDGET = 10_000_000
+_BLOCK_ELEMENTS = 1 << 12  # live paths x configurations per kernel step
 
 
 def round_lengths(taus, n: int) -> np.ndarray:
@@ -39,8 +56,7 @@ class HarqConfig:
     taus: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
+        check_length("transmission budget m", self.m)
         if len(self.taus) != self.m:
             raise DomainError(f"expected {self.m} coefficients, got {len(self.taus)}")
         if self.taus[0] != 1.0:
@@ -54,10 +70,6 @@ class HarqConfig:
     def round_lengths(self) -> tuple[int, ...]:
         """Symbol count per round; see round_lengths."""
         return tuple(round_lengths(self.taus, self.code.n).tolist())
-
-    def stepper(self, kernel: KernelOptions = DEFAULT_KERNEL) -> tuple[Callable, object]:
-        """The kernel's round stepper for this code, scheme and round lengths."""
-        return round_stepper(self.code, self.round_lengths(), self.scheme, kernel)
 
     def with_taus(self, taus: tuple[float, ...]) -> "HarqConfig":
         return replace(self, taus=taus)
@@ -89,19 +101,56 @@ class OutcomeDistribution:
         return sum(self.p) + self.p_e
 
 
-def prefix_error_probs(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DEFAULT_KERNEL) -> tuple[float, ...]:
-    """eps_j for j = 1..m rounds, all rounds at the same SNR."""
-    check_snr(gamma)
-    step, carry = cfg.stepper(kernel)
-    eps = []
-    for depth in range(cfg.m):
-        carry, e = step(carry, depth, gamma)
-        eps.append(float(e))
-    return tuple(eps)
+def _check_budget(n_states: int, m: int, budget: int) -> None:
+    nodes = 0
+    power = 1
+    for _ in range(m):
+        power *= n_states
+        nodes += power
+        if nodes > budget:
+            raise ResourceLimitError(
+                f"state-path enumeration needs {nodes}+ nodes for L={n_states}, m={m}, "
+                f"exceeding the budget of {budget}; use the Monte Carlo estimator instead"
+            )
+
+
+def prefix_error_grid(cfgs: Sequence[HarqConfig], channel: float | FsmcModel,
+                      kernel: KernelOptions = DEFAULT_KERNEL,
+                      path_budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
+    """A_1..A_m (rows) of configurations that differ only in taus (columns).
+
+    A linear SNR is the one-state chain.  Each kernel step takes one depth's
+    live paths for a block of at most _BLOCK_ELEMENTS paths x configurations.
+    """
+    cfg = cfgs[0]
+    chain = ((1.0,), ((1.0,),), (channel,))  # a linear SNR
+    if isinstance(channel, FsmcModel):
+        chain = (channel.q, channel.transitions, channel.state_snrs)
+    q, P, snrs = (np.asarray(x, dtype=float) for x in chain)
+    check_snr(snrs.min())  # NaN propagates, so it fails too
+    _check_budget(len(q), cfg.m, path_budget)
+    # live paths of each depth: last state, probability, index of the parent path
+    state = np.flatnonzero(q > 0.0)
+    levels = [(state, q[state], None)]
+    for _ in range(1, cfg.m):
+        state, prob, _ = levels[-1]
+        parent, nxt = np.nonzero(P[state] > 0.0)
+        levels.append((nxt, prob[parent] * P[state[parent], nxt], parent))
+    lengths = round_lengths([c.taus for c in cfgs], cfg.code.n).T[:, :, None]
+    width = max(1, _BLOCK_ELEMENTS // max(len(level[0]) for level in levels))
+    A = np.empty((cfg.m, len(cfgs)))
+    for lo in range(0, len(cfgs), width):
+        step, carry = round_stepper(cfg.code, lengths[:, lo:lo + width], cfg.scheme, kernel)
+        for depth, (state, prob, parent) in enumerate(levels):
+            if parent is not None:
+                carry = tuple(c[..., parent] for c in carry)
+            carry, eps = step(carry, depth, snrs[state])
+            A[depth, lo:lo + width] = (prob * eps).sum(axis=-1)
+    return A
 
 
 def distribution_from_prefix_errors(eps: tuple[float, ...]) -> OutcomeDistribution:
-    """Telescope eps_1..eps_m into an OutcomeDistribution.
+    """Telescope A_1..A_m into an OutcomeDistribution.
 
     Floating-point can make eps_i - eps_{i+1} negative by a few ulps; such
     terms are floored at zero and the defect is folded into p_0 so the
@@ -123,7 +172,7 @@ def distribution_from_prefix_errors(eps: tuple[float, ...]) -> OutcomeDistributi
 
 def outcomes_awgn(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DEFAULT_KERNEL) -> OutcomeDistribution:
     """Resolution-event distribution when every round sees the same SNR."""
-    return distribution_from_prefix_errors(prefix_error_probs(cfg, gamma, kernel))
+    return distribution_from_prefix_errors(tuple(prefix_error_grid([cfg], gamma, kernel)[:, 0].tolist()))
 
 
 def throughput(cfg: HarqConfig, outcome: OutcomeDistribution) -> float:

@@ -28,8 +28,8 @@ from harqfbl import (
     optimize_tau1,
     outcomes_awgn,
     outcomes_fading,
-    outcomes_fading_mc_check,
     per_ir,
+    simulate_harq,
     single_packet_delay,
     stream_delay,
     sweep,
@@ -212,7 +212,7 @@ def test_criterion_08_monte_carlo_cross_validation():
     cfg = HarqConfig(CodeParams(100, 70), Scheme.IR, 2, (1.0, 0.6))
     query = FadingOutcomeQuery(cfg, slow_model(11.5))
     analytic = outcomes_fading(query)
-    mc = outcomes_fading_mc_check(query, 1_000_000, 20240521)
+    mc = simulate_harq(query.cfg, query.model, 1_000_000, 20240521, query.kernel)
     names = [f"p_{i}" for i in range(cfg.m)] + ["p_e"]
     emp = list(mc.outcome.p) + [mc.outcome.p_e]
     ref = list(analytic.p) + [analytic.p_e]

@@ -251,6 +251,24 @@ class TestCommands:
         assert "Traceback" not in err and "strictly increasing" not in err
 
 
+    @pytest.mark.parametrize(
+        "command, lines, argv",
+        [
+            ("simulate", "preset = sim_cc_awgn\n", ["--seed", "-1"]),
+            ("fsmc", "preset = fsmc_l4\ntrials = 1000\n", ["--seed", "-1"]),
+            ("per-curve", "preset = fig2a\nsnr_db = 4000\n", []),
+            ("optimize", "preset = table1b_slow\nsnr_db = 1e6\n", []),
+        ],
+        ids=["simulate-seed", "fsmc-seed", "per-curve-snr", "optimize-snr"],
+    )
+    def test_bad_counts_seeds_and_snrs_are_config_errors(self, tmp_path, capsys, command, lines, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_import_loads_no_scipy():
     # a scipy import about triples the import time of the package, which
     # every CLI run pays; the kernel and its callers must not load it lazily

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from harqfbl import (
     CodeParams,
     DelayPmf,
+    DomainError,
     HarqConfig,
     OutcomeDistribution,
     ResourceLimitError,
@@ -144,6 +146,22 @@ class TestStreamDelay:
         assert 0.0 < stream.pruned_mass < 1e-20
         assert len(stream.support) <= 16
         assert stream.total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCountsAndParameters:
+    @pytest.mark.parametrize("n_packets", [10.0, math.nan, True, 0])
+    def test_packet_count_must_be_a_positive_integer(self, n_packets):
+        pmf = DelayPmf((Fraction(1), Fraction(2)), (0.9, 0.1))
+        for call in (lambda: stream_delay(pmf, n_packets),
+                     lambda: binomial_stream_delay(n_packets, 0.5, 0.1),
+                     lambda: overhead_ccdf(pmf, n_packets)):
+            with pytest.raises(DomainError, match="n_packets"):
+                call()
+
+    @pytest.mark.parametrize("tau1", [math.nan, math.inf])
+    def test_binomial_rejects_non_finite_tau(self, tau1):
+        with pytest.raises(DomainError, match="tau1"):
+            binomial_stream_delay(10, tau1, 0.1)
 
 
 class TestOverheadCcdf:

@@ -16,11 +16,11 @@ from harqfbl import (
     db_to_linear,
     outcomes_awgn,
     outcomes_fading,
-    outcomes_fading_mc_check,
     per_cc,
     per_ir,
+    simulate_harq,
 )
-from harqfbl.fading import _BLOCK_ELEMENTS, prefix_error_grid
+from harqfbl.outcomes import _BLOCK_ELEMENTS, prefix_error_grid
 from harqfbl.fbl import TransmissionRecord
 from harqfbl.optimize import FINE_TAU_GRID
 
@@ -221,14 +221,14 @@ class TestMcCheck:
         cfg = ir_cfg(70, (1.0, 0.6))
         model = single_state_model(1e12)
         for seed in (0, 1234):
-            mc = outcomes_fading_mc_check(FadingOutcomeQuery(cfg, model), 10_000, seed)
+            mc = simulate_harq(cfg, model, 10_000, seed)
             assert mc.outcome.p[0] == 1.0
 
     def test_agreement_with_analytic(self):
         cfg = ir_cfg(70, (1.0, 0.6))
         query = FadingOutcomeQuery(cfg, fig4a_model())
         analytic = outcomes_fading(query)
-        mc = outcomes_fading_mc_check(query, 200_000, 7)
+        mc = simulate_harq(query.cfg, query.model, 200_000, 7, query.kernel)
         for i in range(cfg.m):
             assert abs(mc.outcome.p[i] - analytic.p[i]) <= 3.0 * max(mc.outcome_se[i], 1e-9)
         assert abs(mc.outcome.p_e - analytic.p_e) <= 3.0 * max(mc.p_e_se, 1e-9)
@@ -237,27 +237,25 @@ class TestMcCheck:
         cfg = ir_cfg(70, (1.0, 0.5, 0.4))
         query = FadingOutcomeQuery(cfg, fig4a_model(10.0))
         analytic = outcomes_fading(query)
-        mc = outcomes_fading_mc_check(query, 100_000, 21)
+        mc = simulate_harq(query.cfg, query.model, 100_000, 21, query.kernel)
         for i in range(cfg.m):
             assert abs(mc.outcome.p[i] - analytic.p[i]) <= 3.0 * max(mc.outcome_se[i], 1e-9)
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(DomainError):
-            outcomes_fading_mc_check(
-                FadingOutcomeQuery(ir_cfg(70, (1.0,)), fig4a_model()), 100, 0
-            )
+            simulate_harq(ir_cfg(70, (1.0,)), fig4a_model(), 100, 0)
 
     def test_deterministic_under_seed(self):
         query = FadingOutcomeQuery(ir_cfg(70, (1.0, 0.6)), fig4a_model())
-        a = outcomes_fading_mc_check(query, 20_000, 99)
-        b = outcomes_fading_mc_check(query, 20_000, 99)
+        a = simulate_harq(query.cfg, query.model, 20_000, 99, query.kernel)
+        b = simulate_harq(query.cfg, query.model, 20_000, 99, query.kernel)
         assert a.outcome.p == b.outcome.p
         assert a.outcome.p_e == b.outcome.p_e
 
     def test_seeded_outcome_pinned(self):
         # 18876 / 1114 / 10 of 20000 packets; pins the RNG draw order
         query = FadingOutcomeQuery(ir_cfg(70, (1.0, 0.6)), fig4a_model())
-        mc = outcomes_fading_mc_check(query, 20_000, 99)
+        mc = simulate_harq(query.cfg, query.model, 20_000, 99, query.kernel)
         assert mc.outcome.p == (0.9438, 0.0557)
         assert mc.outcome.p_e == 0.0005
         assert mc.outcome_se == (0.0016285201871637947, 0.001621689088574009)

@@ -101,6 +101,14 @@ class TestSnrConversion:
     def test_round_trip_linear(self, g):
         assert db_to_linear(linear_to_db(g)) == pytest.approx(g, rel=1e-12)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, 1e6])
+    def test_overflowing_db_rejected(self, snr_db):
+        with pytest.raises(DomainError, match=f"{snr_db}"):
+            db_to_linear(snr_db)
+
+    def test_infinite_db_is_infinite(self):
+        assert db_to_linear(math.inf) == math.inf
+
     @pytest.mark.parametrize("g", [0.0, -1.0, math.nan])
     def test_nonpositive_and_nan_rejected(self, g):
         with pytest.raises(DomainError, match="positive"):

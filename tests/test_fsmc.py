@@ -289,6 +289,16 @@ class TestTargetC:
                 continue
             assert best <= abs(other.c - target) + 1e-12
 
+    @pytest.mark.parametrize("c_target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, c_target):
+        with pytest.raises(DomainError, match="c_target"):
+            from_target_c(c_target, 200.0, 1.4e-4, 10.0, 8)
+
+    @pytest.mark.parametrize("max_states", [8.0, True, 0])
+    def test_max_states_must_be_a_positive_integer(self, max_states):
+        with pytest.raises(DomainError, match="max_states"):
+            from_target_c(3.0, 200.0, 1.4e-4, 10.0, max_states)
+
     def test_no_valid_state_count_raises(self):
         # a time block longer than any achievable sojourn leaves nothing to scan
         with pytest.raises(ConstructionError, match="no state count"):

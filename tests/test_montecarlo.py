@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ class TestGenerateTrace:
         with pytest.raises(DomainError):
             generate_trace(100.0, 1e-4, 10, 1, n_oscillators=0)
 
+    @pytest.mark.parametrize(
+        "length, seed, n_oscillators",
+        [(100.5, 0, 64), (True, 0, 64), (100, -1, 64), (100, 0.5, 64), (100, True, 64), (100, 0, 2.0)],
+    )
+    def test_counts_and_seed_must_be_integers(self, length, seed, n_oscillators):
+        with pytest.raises(DomainError):
+            generate_trace(100.0, 1e-4, length, seed, n_oscillators)
+
+    def test_seed_zero_accepted(self):
+        assert len(generate_trace(100.0, 1e-4, 10, 0)) == 10
+
 
 class TestSimulateAwgn:
     def test_error_free_channel_hits_code_rate(self):
@@ -120,6 +132,32 @@ def fading_setup():
     return cfg, model, analytic
 
 
+class TestSimulateInputs:
+    @pytest.fixture(params=["fixed", "model", "trace"])
+    def channel(self, request, fading_setup):
+        _, model, _ = fading_setup
+        if request.param == "fixed":
+            return 1.0
+        if request.param == "model":
+            return model
+        return TraceChannel(generate_trace(model.f_d, model.t_tb, 10_000, 1), model.avg_snr)
+
+    @pytest.mark.parametrize("packets, seed", [(1e4, 0), (True, 0), (2_000, -1), (2_000, 0.5), (2_000, True)])
+    def test_packets_and_seed_checked_on_every_channel(self, fading_setup, channel, packets, seed):
+        cfg = fading_setup[0]
+        with pytest.raises(DomainError):
+            simulate_harq(cfg, channel, packets, seed)
+
+    def test_seed_zero_accepted(self, fading_setup, channel):
+        assert simulate_harq(fading_setup[0], channel, 1_000, 0).packets == 1_000
+
+    def test_model_state_snrs_checked(self, fading_setup):
+        cfg, model, _ = fading_setup
+        broken = replace(model, state_snrs=(math.nan,) + model.state_snrs[1:])
+        with pytest.raises(DomainError, match="nan"):
+            simulate_harq(cfg, broken, 1_000, 0)
+
+
 @pytest.fixture(scope="module")
 def l13_model():
     return build_equal_duration(13, 210.0, 0.00014, db_to_linear(10.0))
@@ -159,6 +197,12 @@ class TestSimulateFading:
 
 
 class TestValidateFsmc:
+    @pytest.mark.parametrize("n_blocks", [0, 2.0, True])
+    def test_block_count_must_be_a_positive_integer(self, l13_model, n_blocks):
+        trace = generate_trace(210.0, 0.00014, 1_000, 1)
+        with pytest.raises(DomainError, match="n_blocks"):
+            validate_fsmc(l13_model, trace, n_blocks)
+
     def test_two_state_occupancy_within_three_sigma(self):
         model = build_equal_duration(2, 210.0, 0.00014, 10.0)
         trace = generate_trace(210.0, 0.00014, 1_000_000, 13)

@@ -166,6 +166,12 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(problem, [])
 
+    @pytest.mark.parametrize("channel", [1.0, slow_fading(11.0)], ids=["fixed", "fading"])
+    def test_overflowing_snr_rejected(self, channel):
+        problem = OptimizationProblem(base_cfg(70), channel, per_ceiling=0.01)
+        with pytest.raises(DomainError, match="overflows"):
+            sweep(problem, [1e6])
+
     def test_optimal_tau_nonincreasing_in_snr(self):
         snrs = [11.0, 11.5, 12.0, 12.5, 13.0, 13.5, 14.0]
         problem = OptimizationProblem(base_cfg(70), fast_fading(11.0), per_ceiling=0.01)

@@ -13,10 +13,10 @@ from harqfbl import (
     db_to_linear,
     outcomes_awgn,
     per_ir,
-    prefix_error_probs,
     throughput,
 )
 from harqfbl.fbl import TransmissionRecord
+from harqfbl.outcomes import prefix_error_grid
 
 
 def make_ir(n, k, taus):
@@ -39,6 +39,11 @@ class TestHarqConfig:
     def test_tau_count_must_match_m(self):
         with pytest.raises(DomainError):
             HarqConfig(CodeParams(100, 50), Scheme.IR, 3, (1.0, 0.5))
+
+    @pytest.mark.parametrize("m, taus", [(2.0, (1.0, 0.5)), (True, (1.0,)), (0, ())])
+    def test_m_must_be_a_positive_integer(self, m, taus):
+        with pytest.raises(DomainError, match="transmission budget m"):
+            HarqConfig(CodeParams(100, 50), Scheme.IR, m, taus)
 
     def test_round_lengths_round_to_nearest(self):
         cfg = make_ir(100, 50, [1.0, 0.58, 0.004])
@@ -68,7 +73,7 @@ class TestOutcomesAwgn:
     @pytest.mark.parametrize("cfg", [make_ir(100, 70, [1.0, 0.5]), make_cc(100, 70, 2)], ids=["IR", "CC"])
     def test_nan_snr_rejected(self, cfg):
         with pytest.raises(DomainError, match="nan"):
-            prefix_error_probs(cfg, math.nan)
+            outcomes_awgn(cfg, math.nan)
 
     def test_residual_error_is_final_prefix_per(self):
         g = db_to_linear(-1.0)
@@ -150,6 +155,6 @@ class TestThroughput:
 class TestPrefixErrors:
     def test_prefixes_are_nonincreasing(self):
         cfg = make_ir(100, 70, [1.0, 0.6, 0.5])
-        eps = prefix_error_probs(cfg, db_to_linear(-2.0))
+        eps = prefix_error_grid([cfg], db_to_linear(-2.0))[:, 0]
         assert len(eps) == 3
         assert all(b <= a for a, b in zip(eps, eps[1:]))
