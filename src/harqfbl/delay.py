@@ -1,9 +1,12 @@
 """Delay distributions on an exact rational slot lattice.
 
 A resolved packet occupies 1, 1 + tau_1, ..., or sum(tau) slots; support
-points are represented as fractions so N-fold convolutions never suffer
+points are represented as fractions, so stream delays never suffer
 floating-point key collisions and the two-round binomial closed form can be
-matched atom for atom.
+matched atom for atom.  A stream of N packets whose single-packet PMF has at
+most three atoms (every scheme with m <= 3) is the multinomial law of the
+atom counts, evaluated in closed form; longer PMFs take the exact N-fold
+lattice convolution.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class DelayPmf:
         for a, b in zip(self.support, self.support[1:]):
             if not a < b:
                 raise DomainError("support must be strictly increasing")
-        if any(m < 0.0 for m in self.mass):
-            raise DomainError("masses must be nonnegative")
+        if not all(0.0 <= m < math.inf for m in self.mass):  # NaN fails too
+            raise DomainError("masses must be nonnegative and finite")
 
     @property
     def total(self) -> float:
@@ -126,37 +129,178 @@ def _to_lattice(pmf: DelayPmf) -> tuple[_Lattice, int]:
     return _Lattice(ints[0], step, mass), denom
 
 
-def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> DelayPmf:
-    """Total-delay PMF of n_packets back-to-back packets.
-
-    Exact n-fold self-convolution by binary exponentiation on the integer
-    lattice spanned by the support.  When the lattice outgrows the budget,
-    masses below 1e-15 are zeroed and the lattice tails trimmed; the
-    dropped mass is reported on the result, and a lattice that stays too
-    large raises.
-    """
-    check_length("packet count n_packets", n_packets)
-    base, denom = _to_lattice(pmf)
+def _convolution_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, float]:
+    """n-fold self-convolution by binary exponentiation, shrinking as it goes."""
     result: _Lattice | None = None
     pruned = 0.0
-    n = n_packets
     while n > 0:
         if n & 1:
             result = result.convolve(base) if result is not None else _Lattice(
                 base.offset, base.step, base.mass.copy()
             )
-            pruned += result.shrink(atom_budget)
+            pruned += result.shrink(budget)
         n >>= 1
         if n:
             base = base.convolve(base)
-            pruned += base.shrink(atom_budget)
+            pruned += base.shrink(budget)
     assert result is not None
-    atoms = {
-        Fraction(result.offset + i * result.step, denom): float(m)
-        for i, m in enumerate(result.mass)
-        if m > 0.0
-    }
-    return DelayPmf.from_atoms(atoms, pruned + pmf.pruned_mass * n_packets)
+    return result, pruned
+
+
+# Loader's saddle-point form of the multinomial (C. Loader, "Fast and Accurate
+# Computation of Binomial Probabilities", 2000).  With S(c) = log c! - c log c + c
+# and bd0(c, mu) = c log(c / mu) - c + mu, an exact identity gives
+#   log[N! prod_j w_j^c_j / c_j!] = S(N) - N (1 - sum w) - sum_j [S(c_j) + bd0(c_j, N w_j)],
+# in which every term is small: no large logarithms cancel.
+_LOG_UNDERFLOW = -746.0  # exp() of anything lower is 0.0 in double precision
+_TUPLES_PER_ATOM = 64  # count tuples the closed form may evaluate per budgeted atom
+_EXACT_COUNTS = 2**53  # counts and lattice indices stay exact as floats below this
+_S_TABLE = np.array([math.lgamma(c + 1) - c * math.log(c) + c if c else 0.0 for c in range(16)])
+
+
+def _term(c: np.ndarray, mu: float) -> np.ndarray:
+    """S(c) + bd0(c, mu): one atom's share of the negative log mass, for counts c."""
+    c = np.asarray(c, dtype=float)
+    big = np.maximum(c, 16.0)
+    r = 1.0 / (big * big)
+    series = 0.5 * np.log(2.0 * math.pi * big) + (
+        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r
+    ) / big
+    stirling = np.where(c < 16, _S_TABLE[np.minimum(c, 15).astype(np.intp)], series)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bd0 = np.where(c > 0, c * np.log1p((c - mu) / mu), 0.0) - (c - mu)
+    return stirling + bd0
+
+
+def _window(k: np.ndarray, n: np.ndarray, mu_u: float, mu_v: float, thr: float):
+    """Per row, the counts c of [lo, hi] where k - term(n - c, mu_u) - term(c, mu_v) >= thr.
+
+    The log mass is concave in c, so that set is one interval around the
+    binomial mode; both ends are found by bisection.  Empty rows get lo > hi.
+    """
+
+    def above(c):
+        return k - _term(n - c, mu_u) - _term(c, mu_v) >= thr
+
+    def edge(inside, outside):
+        # the last count from inside towards outside that stays above thr
+        done = above(outside)
+        while np.any(np.abs(outside - inside) > 1):
+            mid = (inside + outside) // 2
+            ok = above(mid)
+            inside, outside = np.where(ok, mid, inside), np.where(ok, outside, mid)
+        return np.where(done, outside, inside)
+
+    mode = np.clip(np.floor((n + 1) * (mu_v / (mu_u + mu_v))).astype(np.int64), 0, n)
+    lo, hi = edge(mode, np.zeros_like(n)), edge(mode, n)
+    return lo, np.where(above(mode), hi, lo - 1)
+
+
+def _multinomial_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, float]:
+    """n-fold self-convolution of a PMF with at most three atoms, in closed form.
+
+    The counts (c_0, .., c_{a-1}) of the atoms over n packets carry the
+    multinomial mass and sit at lattice index sum_j c_j idx_j.  The last two
+    counts vary along a row (c and n_row - c: an arithmetic run on the
+    lattice); with three atoms each c_0 is a row.  Only the counts whose mass
+    is representable are evaluated.  When the full lattice (n * span + 1
+    points) exceeds the budget, no O(n) array is made: counts of mass below
+    PRUNE_MASS are dropped and their mass (down to PRUNE_MASS**2) reported,
+    and a window that stays over budget raises.
+    """
+    idx = np.flatnonzero(base.mass)
+    w = base.mass[idx]
+    if len(idx) == 1:
+        return _Lattice((base.offset + int(idx[0]) * base.step) * n, base.step, w**n), 0.0
+    width = n * (len(base.mass) - 1) + 1
+    if width >= _EXACT_COUNTS:
+        raise ResourceLimitError(
+            f"stream lattice of {width} points is past exact float counts (2**53)"
+        )
+    bounded = width > budget
+    keep = math.log(PRUNE_MASS) if bounded else _LOG_UNDERFLOW
+    floor = 2.0 * keep if bounded else keep
+    mu = n * w
+    u, v = len(idx) - 2, len(idx) - 1
+    d = int(idx[v] - idx[u])
+    # S(n) (bd0(n, n) = 0) minus n (1 - sum w), with sum w - 1 rounded once
+    k = float(_term(n, float(n))) + n * math.fsum([*w.tolist(), -1.0])
+    if len(idx) == 2:
+        k_rows, n_rows = np.array([k]), np.array([n], dtype=np.int64)
+        starts = n_rows * int(idx[u])
+    else:
+        (r_lo,), (r_hi,) = _window(np.array([k]), np.array([n]), mu[1] + mu[2], mu[0], floor)
+        if r_hi - r_lo >= budget:
+            raise ResourceLimitError(
+                f"the closed-form stream needs {r_hi - r_lo + 1} rows of counts, over the "
+                f"budget of {budget}"
+            )
+        rows = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+        k_rows, n_rows = k - _term(rows, mu[0]), n - rows
+        starts = rows * int(idx[0]) + n_rows * int(idx[u])
+    origin = 0
+    if bounded:
+        klo, khi = _window(k_rows, n_rows, mu[u], mu[v], keep)
+        kept = klo <= khi
+        if not kept.any():
+            raise ResourceLimitError("all probability mass pruned; lattice budget too small")
+        origin = int((starts + klo * d)[kept].min())
+        width = int((starts + khi * d)[kept].max()) - origin + 1
+        if width > budget:
+            raise ResourceLimitError(
+                f"stream lattice spans {width} points after pruning masses below "
+                f"{PRUNE_MASS}, over the budget of {budget}"
+            )
+    lo, hi = _window(k_rows, n_rows, mu[u], mu[v], floor)
+    if not bounded:
+        klo, khi = lo, hi
+    live = lo <= hi
+    if not live.any():
+        raise DomainError("every mass of the stream underflows to 0")
+    tuples = int((hi - lo + 1)[live].sum())
+    if tuples > _TUPLES_PER_ATOM * budget:
+        raise ResourceLimitError(
+            f"the closed-form stream needs {tuples} count tuples, over {_TUPLES_PER_ATOM} "
+            f"per atom of the budget of {budget}"
+        )
+    # one table per varying atom over the counts the rows use
+    v0, u0 = int(lo[live].min()), int((n_rows - hi)[live].min())
+    t_v = _term(np.arange(v0, int(hi[live].max()) + 1), mu[v])
+    t_u = _term(np.arange(u0, int((n_rows - lo)[live].max()) + 1), mu[u])
+    acc = np.zeros(width)
+    pruned = 0.0
+    for kr, nr, s, l, h, kl, kh in zip(k_rows[live], n_rows[live], starts[live], lo[live],
+                                       hi[live], klo[live], khi[live]):
+        mass = np.exp(kr - t_v[l - v0 : h - v0 + 1] - t_u[nr - h - u0 : nr - l - u0 + 1][::-1])
+        kl, kh = max(kl, l), min(kh, h)
+        if kl <= kh:
+            first = s + kl * d - origin
+            acc[first : first + (kh - kl) * d + 1 : d] += mass[kl - l : kh - l + 1]
+            pruned += float(mass[: kl - l].sum() + mass[kh - l + 1 :].sum())
+        else:
+            pruned += float(mass.sum())
+    return _Lattice(base.offset * n + origin * base.step, base.step, acc), pruned
+
+
+def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> DelayPmf:
+    """Total-delay PMF of n_packets back-to-back packets.
+
+    A PMF with at most three atoms (every m <= 3 scheme: p_e merges with
+    the last round) takes the multinomial closed form; more atoms take the
+    exact n-fold self-convolution by binary exponentiation.  Both work on
+    the integer lattice spanned by the support.  When the lattice outgrows
+    the budget, masses below 1e-15 are dropped and the lattice tails
+    trimmed; the dropped mass is reported on the result, and a lattice that
+    stays too large, or a closed form that would evaluate more than 64
+    count tuples per budgeted atom, raises ResourceLimitError.
+    """
+    check_length("packet count n_packets", n_packets)
+    base, denom = _to_lattice(pmf)
+    power = _multinomial_power if 0 < np.count_nonzero(base.mass) <= 3 else _convolution_power
+    result, pruned = power(base, n_packets, atom_budget)
+    nonzero = np.flatnonzero(result.mass)
+    support = tuple(Fraction(result.offset + int(i) * result.step, denom) for i in nonzero)
+    return DelayPmf(support, tuple(result.mass[nonzero].tolist()), pruned + pmf.pruned_mass * n_packets)
 
 
 def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float) -> DelayPmf:
@@ -203,6 +347,8 @@ def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]
     """
     check_length("packet count n_packets", n_packets)
     tails = _suffix_tails(stream.mass)
+    # int true division rounds correctly, so this is float((d - N) / N) exactly
     return [
-        (float((d - n_packets) / n_packets), t) for d, t in zip(stream.support, tails)
+        ((d.numerator - n_packets * d.denominator) / (n_packets * d.denominator), t)
+        for d, t in zip(stream.support, tails)
     ]

@@ -67,8 +67,14 @@ def generate_trace(
     """Sum-of-sinusoids Rayleigh fading trace, deterministic under seed.
 
     h(t) = sum_k exp(j*(2*pi*f_d*cos(alpha_k)*t + phi_k)) / sqrt(K) with
-    alpha_k, phi_k iid uniform on [0, 2*pi); E|h|^2 = 1 exactly.
+    alpha_k, phi_k iid uniform on [0, 2*pi); E|h|^2 = 1 exactly.  f_d = 0
+    is a static channel: every sample equals the first.
     """
+    # written so that NaN fails too
+    if not 0.0 <= f_d < math.inf:
+        raise DomainError(f"Doppler frequency f_d must be nonnegative and finite, got {f_d}")
+    if not 0.0 < t_tb < math.inf:
+        raise DomainError(f"block duration t_tb must be positive and finite, got {t_tb}")
     check_length("trace length", length)
     check_length("oscillator count", n_oscillators)
     _check_seed(seed)

@@ -224,6 +224,13 @@ class TestCommands:
                 column = {row[5] for row in body if row[:2] == [scheme, str(k)]}
                 assert column == {f"{pruned:.12g}"}
 
+    def test_delay_of_a_huge_stream_is_bounded(self, tmp_path, capsys):
+        # a 1e8-packet stream answers from its pruned window or exits 4
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("preset = fig3\nn_packets = 100000000\n")
+        assert main(["delay", "--config", str(cfg), "--out", str(tmp_path)]) in (EXIT_OK, EXIT_RESOURCE)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, preset", [("per-curve", "fig2a"), ("per-surface", "fig5")])
     @pytest.mark.parametrize("grid", ["0.5,0.2", "0.2,0.2", "0.0,0.5", "0.5,1.5"])
     def test_bad_tau_grid_is_a_config_error(self, tmp_path, capsys, command, preset, grid):

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from harqfbl import (
     single_packet_delay,
     stream_delay,
 )
+from harqfbl import delay
 
 
 def ccdf_at(curve: list[tuple[float, float]], x: float) -> float:
@@ -148,6 +151,117 @@ class TestStreamDelay:
         assert stream.total == pytest.approx(1.0, abs=1e-9)
 
 
+def aligned(a, b):
+    """Two lattice results on one index range, as arrays of equal length."""
+    assert a.step == b.step
+    lo = min(a.offset, b.offset)
+    hi = max(a.offset + len(a.mass) * a.step, b.offset + len(b.mass) * b.step)
+    out = []
+    for lat in (a, b):
+        full = np.zeros((hi - lo) // a.step)
+        start = (lat.offset - lo) // a.step
+        full[start : start + len(lat.mass)] = lat.mass
+        out.append(full)
+    return out
+
+
+# a 58-point lattice per packet, as in the three-round IR designs
+THREE_ATOMS = DelayPmf((Fraction(1), Fraction(137, 100), Fraction(157, 100)), (0.7, 0.2, 0.1))
+TWO_ATOMS = DelayPmf((Fraction(1), Fraction(7, 5)), (0.8, 0.2))
+
+
+class TestClosedForm:
+    """The multinomial closed form against the lattice convolution and mpmath.
+
+    Stated tolerance: 1e-11 relative on every atom above 1e-12.
+    """
+
+    @pytest.mark.parametrize("pmf", [TWO_ATOMS, THREE_ATOMS], ids=["m2", "m3"])
+    @pytest.mark.parametrize("n_packets", [1, 2, 7, 200, 2000])
+    def test_matches_binary_exponentiation(self, pmf, n_packets):
+        base, _ = delay._to_lattice(pmf)
+        closed, pruned_c = delay._multinomial_power(base, n_packets, delay.DEFAULT_ATOM_BUDGET)
+        lattice, pruned_l = delay._convolution_power(base, n_packets, delay.DEFAULT_ATOM_BUDGET)
+        a, b = aligned(closed, lattice)
+        big = (a > 1e-12) | (b > 1e-12)
+        assert np.all(np.abs(a[big] - b[big]) <= 1e-11 * b[big])
+        assert pruned_c == pruned_l == 0.0
+        assert abs(a.sum() - 1.0) <= 1e-12
+
+    def test_mpmath_spot_atoms(self):
+        # the exact n-fold convolution of the PMF's own float weights
+        n_packets = 100_000
+        stream = stream_delay(TWO_ATOMS, n_packets)
+        atoms = {int((d - n_packets) * 5 / 2): m for d, m in zip(stream.support, stream.mass)}
+        w0, w1 = (mp.mpf(x) for x in TWO_ATOMS.mass)
+        with mp.workdps(40):
+            for c in (17_500, 19_000, 19_990, 20_000, 20_321, 21_500, 23_000, 24_000):
+                exact = mp.binomial(n_packets, c) * w1**c * w0 ** (n_packets - c)
+                assert exact > mp.mpf("1e-250")
+                assert abs(atoms[c] - exact) <= 1e-11 * exact
+
+    def test_four_atoms_take_the_lattice(self, monkeypatch):
+        calls = []
+        for name in ("_multinomial_power", "_convolution_power"):
+            real = getattr(delay, name)
+            monkeypatch.setattr(delay, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        four = DelayPmf(tuple(Fraction(10 + i, 10) for i in range(4)), (0.4, 0.3, 0.2, 0.1))
+        stream_delay(four, 50)
+        stream_delay(THREE_ATOMS, 50)
+        assert calls == ["_convolution_power", "_multinomial_power"]
+
+    def test_zero_mass_atom_keeps_the_lattice(self):
+        # an error-free channel leaves one positive atom on a two-point lattice
+        pmf = DelayPmf((Fraction(1), Fraction(3, 2)), (1.0, 0.0))
+        stream = stream_delay(pmf, 1000)
+        assert stream.support == (Fraction(1000),) and stream.mass == (1.0,)
+
+    def test_ccdf_is_the_fraction_formula_bit_for_bit(self):
+        n_packets = 2000
+        stream = stream_delay(THREE_ATOMS, n_packets)
+        curve = overhead_ccdf(stream, n_packets)
+        assert [x for x, _ in curve] == [float((d - n_packets) / n_packets) for d in stream.support]
+
+    def test_pruned_window_keeps_every_atom_above_the_threshold(self):
+        # over budget, the closed form keeps exactly the counts of mass at
+        # least 1e-15 and reports the mass of the others
+        full = stream_delay(TWO_ATOMS, 2000)
+        cut = stream_delay(TWO_ATOMS, 2000, atom_budget=500)
+        kept = {d: m for d, m in zip(full.support, full.mass) if m >= delay.PRUNE_MASS}
+        assert dict(zip(cut.support, cut.mass)) == kept
+        dropped = math.fsum(m for m in full.mass if m < delay.PRUNE_MASS)
+        assert cut.pruned_mass == pytest.approx(dropped, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            # weights that sum to 1 exactly in binary, so the exact total is 1
+            DelayPmf((Fraction(1), Fraction(7, 5)), (0.75, 0.25)),
+            DelayPmf((Fraction(1), Fraction(137, 100), Fraction(157, 100)), (0.75, 0.125, 0.125)),
+        ],
+        ids=["m2", "m3"],
+    )
+    def test_huge_stream_answers_or_raises(self, pmf):
+        # the lattice would hold about 1e8 points: the work stays bounded
+        try:
+            stream = stream_delay(pmf, 10**8)
+        except ResourceLimitError:
+            return
+        assert stream.pruned_mass >= 0.0
+        assert abs(stream.total - 1.0) <= 1e-9
+
+    def test_count_tuples_are_bounded_by_the_budget(self):
+        # on a narrow lattice many count tuples share an atom: the window
+        # fits 1000 atoms, but its 82,650 tuples exceed 64 per atom
+        pmf = DelayPmf((Fraction(1), Fraction(2), Fraction(3)), (0.75, 0.125, 0.125))
+        with pytest.raises(ResourceLimitError, match="count tuples"):
+            stream_delay(pmf, 2000, atom_budget=1000)
+
+    def test_past_exact_counts_raises(self):
+        with pytest.raises(ResourceLimitError, match="2\\*\\*53"):
+            stream_delay(TWO_ATOMS, 2**60)
+
+
 class TestCountsAndParameters:
     @pytest.mark.parametrize("n_packets", [10.0, math.nan, True, 0])
     def test_packet_count_must_be_a_positive_integer(self, n_packets):
@@ -157,6 +271,11 @@ class TestCountsAndParameters:
                      lambda: overhead_ccdf(pmf, n_packets)):
             with pytest.raises(DomainError, match="n_packets"):
                 call()
+
+    @pytest.mark.parametrize("mass", [(math.nan, 0.5), (0.5, math.inf), (-0.1, 1.1)])
+    def test_masses_must_be_finite_and_nonnegative(self, mass):
+        with pytest.raises(DomainError, match="masses"):
+            DelayPmf((Fraction(1), Fraction(2)), mass)
 
     @pytest.mark.parametrize("tau1", [math.nan, math.inf])
     def test_binomial_rejects_non_finite_tau(self, tau1):

@@ -79,6 +79,20 @@ class TestGenerateTrace:
     def test_seed_zero_accepted(self):
         assert len(generate_trace(100.0, 1e-4, 10, 0)) == 10
 
+    @pytest.mark.parametrize(
+        "f_d, t_tb",
+        [(math.nan, 1e-4), (math.inf, 1e-4), (-1.0, 1e-4),
+         (100.0, math.nan), (100.0, math.inf), (100.0, -1e-4), (100.0, 0.0)],
+    )
+    def test_doppler_and_block_duration_must_be_finite(self, f_d, t_tb):
+        # a NaN trace used to reach simulate_harq, which answered p_e = 1
+        with pytest.raises(DomainError):
+            generate_trace(f_d, t_tb, 5000, 0)
+
+    def test_zero_doppler_is_a_static_channel(self):
+        trace = generate_trace(0.0, 1e-4, 100, 3)
+        assert np.all(trace.samples == trace.samples[0])
+
 
 class TestSimulateAwgn:
     def test_error_free_channel_hits_code_rate(self):
