@@ -1,19 +1,21 @@
-"""Delay distributions on an exact rational slot lattice.
+"""Delay distributions on one integer slot lattice.
 
-A resolved packet occupies 1, 1 + tau_1, ..., or sum(tau) slots; support
-points are represented as fractions, so stream delays never suffer
-floating-point key collisions and the two-round binomial closed form can be
-matched atom for atom.  A stream of N packets whose single-packet PMF has at
-most three atoms (every scheme with m <= 3) is the multinomial law of the
-atom counts, evaluated in closed form; longer PMFs take the exact N-fold
-lattice convolution.
+A resolved packet occupies 1, 1 + tau_1, ..., or sum(tau) slots.  A PMF
+keeps its support as strictly increasing integer ticks over one common
+denominator, so stream delays never suffer floating-point key collisions,
+the two-round binomial closed form can be matched atom for atom, and every
+overhead is a correctly rounded ratio of exact integers.  A stream of N
+packets whose single-packet PMF has at most three atoms (every scheme with
+m <= 3) is the multinomial law of the atom counts, evaluated in closed
+form; longer PMFs take the exact N-fold lattice convolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,42 +26,63 @@ from .outcomes import HarqConfig, OutcomeDistribution
 _TAU_DENOMINATOR_LIMIT = 1_000_000
 DEFAULT_ATOM_BUDGET = 1_000_000
 PRUNE_MASS = 1e-15
+_EXACT_TICKS = 2**53  # ticks, counts and overhead operands stay exact as floats below this
 
 
-def _as_fraction(x: float | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x).limit_denominator(_TAU_DENOMINATOR_LIMIT)
+def _as_fraction(x) -> Fraction:
+    """x exactly; a float as the nearest fraction with denominator at most 1e6."""
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    if isinstance(x, numbers.Real) and math.isfinite(x):
+        return Fraction(x).limit_denominator(_TAU_DENOMINATOR_LIMIT)
+    raise DomainError(f"delays must be finite real numbers, got {x!r}")
 
 
-@dataclass(frozen=True)
 class DelayPmf:
-    """Probability masses on a strictly increasing rational support."""
+    """Probability masses at the delays ticks / denom slots.
 
-    support: tuple[Fraction, ...]
-    mass: tuple[float, ...]
-    pruned_mass: float = field(default=0.0, compare=False)
+    Built from a strictly increasing support of nonnegative fractions, ints
+    or finite floats, e.g. DelayPmf((1, Fraction(7, 5)), (0.8, 0.2)); ticks
+    (int64) and mass (float64) are read-only arrays, support the exact
+    fractions they stand for.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.support) != len(self.mass) or not self.support:
+    __slots__ = ("ticks", "denom", "mass", "pruned_mass")
+
+    def __init__(self, support, mass, pruned_mass: float = 0.0) -> None:
+        points = [_as_fraction(d) for d in support]
+        denom = math.lcm(*(p.denominator for p in points))
+        ticks = [p.numerator * (denom // p.denominator) for p in points]
+        if ticks and min(ticks) < 0:
+            raise DomainError("delays must be nonnegative")
+        if ticks and max(ticks) >= _EXACT_TICKS:
+            raise ResourceLimitError(f"delays reach 2**53 ticks of 1/{denom} slot; quantise them")
+        self._fill(np.array(ticks, dtype=np.int64), denom, mass, pruned_mass)
+
+    @classmethod
+    def _on_lattice(cls, ticks: np.ndarray, denom: int, mass, pruned_mass: float) -> "DelayPmf":
+        pmf = cls.__new__(cls)
+        pmf._fill(ticks, denom, mass, pruned_mass)
+        return pmf
+
+    def _fill(self, ticks: np.ndarray, denom: int, mass, pruned_mass: float) -> None:
+        mass = np.array(mass, dtype=float)
+        if ticks.shape != mass.shape or not ticks.size:
             raise DomainError("support and mass must be equal-length and nonempty")
-        for a, b in zip(self.support, self.support[1:]):
-            if not a < b:
-                raise DomainError("support must be strictly increasing")
-        if not all(0.0 <= m < math.inf for m in self.mass):  # NaN fails too
+        if np.any(np.diff(ticks) <= 0):
+            raise DomainError("support must be strictly increasing")
+        if not np.all((mass >= 0.0) & (mass < math.inf)):  # NaN fails too
             raise DomainError("masses must be nonnegative and finite")
+        ticks.flags.writeable = mass.flags.writeable = False
+        self.ticks, self.denom, self.mass, self.pruned_mass = ticks, denom, mass, pruned_mass
+
+    @property
+    def support(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.denom) for t in self.ticks.tolist())
 
     @property
     def total(self) -> float:
-        return sum(self.mass) + self.pruned_mass
-
-    def mean(self) -> float:
-        return sum(float(d) * m for d, m in zip(self.support, self.mass))
-
-    @classmethod
-    def from_atoms(cls, atoms: dict[Fraction, float], pruned: float = 0.0) -> "DelayPmf":
-        keys = sorted(atoms)
-        return cls(tuple(keys), tuple(atoms[k] for k in keys), pruned)
+        return float(self.mass.sum()) + self.pruned_mass
 
 
 def single_packet_delay(cfg: HarqConfig, outcome: OutcomeDistribution) -> DelayPmf:
@@ -68,34 +91,20 @@ def single_packet_delay(cfg: HarqConfig, outcome: OutcomeDistribution) -> DelayP
     A success at the last round and an exhausted packet take the same time,
     so their masses merge on one support point.
     """
-    taus = [_as_fraction(t) for t in cfg.taus]
-    atoms: dict[Fraction, float] = {}
-    acc = Fraction(0)
-    cum = []
-    for t in taus:
-        acc += t
-        cum.append(acc)
-    for i in range(cfg.m):
-        atoms[cum[i]] = atoms.get(cum[i], 0.0) + outcome.p[i]
-    atoms[cum[-1]] = atoms.get(cum[-1], 0.0) + outcome.p_e
-    return DelayPmf.from_atoms(atoms)
+    mass = [*outcome.p[: cfg.m - 1], outcome.p[cfg.m - 1] + outcome.p_e]
+    return DelayPmf(accumulate(_as_fraction(t) for t in cfg.taus), mass)
 
 
 class _Lattice:
-    """A PMF on the integer lattice offset + step * index (units of 1/denom)."""
+    """A dense PMF whose mass[i] sits at lattice point offset + i."""
 
-    __slots__ = ("offset", "step", "mass")
+    __slots__ = ("offset", "mass")
 
-    def __init__(self, offset: int, step: int, mass: np.ndarray):
-        self.offset = offset
-        self.step = step
-        self.mass = mass
+    def __init__(self, offset: int, mass: np.ndarray):
+        self.offset, self.mass = offset, mass
 
     def convolve(self, other: "_Lattice") -> "_Lattice":
-        assert self.step == other.step
-        return _Lattice(
-            self.offset + other.offset, self.step, np.convolve(self.mass, other.mass)
-        )
+        return _Lattice(self.offset + other.offset, np.convolve(self.mass, other.mass))
 
     def shrink(self, budget: int) -> float:
         """Zero sub-threshold masses and trim the tails when over budget."""
@@ -108,7 +117,7 @@ class _Lattice:
         if len(nonzero) == 0:
             raise ResourceLimitError("all probability mass pruned; lattice budget too small")
         lo, hi = int(nonzero[0]), int(nonzero[-1])
-        self.offset += lo * self.step
+        self.offset += lo
         self.mass = self.mass[lo : hi + 1]
         if len(self.mass) > budget:
             raise ResourceLimitError(
@@ -118,26 +127,13 @@ class _Lattice:
         return dropped
 
 
-def _to_lattice(pmf: DelayPmf) -> tuple[_Lattice, int]:
-    denom = math.lcm(*(d.denominator for d in pmf.support))
-    ints = [int(d * denom) for d in pmf.support]
-    step = math.gcd(*(i - ints[0] for i in ints)) if len(ints) > 1 else 1
-    size = (ints[-1] - ints[0]) // step + 1
-    mass = np.zeros(size)
-    for i, m in zip(ints, pmf.mass):
-        mass[(i - ints[0]) // step] = m
-    return _Lattice(ints[0], step, mass), denom
-
-
 def _convolution_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, float]:
     """n-fold self-convolution by binary exponentiation, shrinking as it goes."""
     result: _Lattice | None = None
     pruned = 0.0
     while n > 0:
         if n & 1:
-            result = result.convolve(base) if result is not None else _Lattice(
-                base.offset, base.step, base.mass.copy()
-            )
+            result = result.convolve(base) if result is not None else _Lattice(base.offset, base.mass.copy())
             pruned += result.shrink(budget)
         n >>= 1
         if n:
@@ -154,7 +150,6 @@ def _convolution_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, f
 # in which every term is small: no large logarithms cancel.
 _LOG_UNDERFLOW = -746.0  # exp() of anything lower is 0.0 in double precision
 _TUPLES_PER_ATOM = 64  # count tuples the closed form may evaluate per budgeted atom
-_EXACT_COUNTS = 2**53  # counts and lattice indices stay exact as floats below this
 _S_TABLE = np.array([math.lgamma(c + 1) - c * math.log(c) + c if c else 0.0 for c in range(16)])
 
 
@@ -211,12 +206,8 @@ def _multinomial_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, f
     idx = np.flatnonzero(base.mass)
     w = base.mass[idx]
     if len(idx) == 1:
-        return _Lattice((base.offset + int(idx[0]) * base.step) * n, base.step, w**n), 0.0
+        return _Lattice((base.offset + int(idx[0])) * n, w**n), 0.0
     width = n * (len(base.mass) - 1) + 1
-    if width >= _EXACT_COUNTS:
-        raise ResourceLimitError(
-            f"stream lattice of {width} points is past exact float counts (2**53)"
-        )
     bounded = width > budget
     keep = math.log(PRUNE_MASS) if bounded else _LOG_UNDERFLOW
     floor = 2.0 * keep if bounded else keep
@@ -279,7 +270,7 @@ def _multinomial_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, f
             pruned += float(mass[: kl - l].sum() + mass[kh - l + 1 :].sum())
         else:
             pruned += float(mass.sum())
-    return _Lattice(base.offset * n + origin * base.step, base.step, acc), pruned
+    return _Lattice(base.offset * n + origin, acc), pruned
 
 
 def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> DelayPmf:
@@ -290,17 +281,27 @@ def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_
     exact n-fold self-convolution by binary exponentiation.  Both work on
     the integer lattice spanned by the support.  When the lattice outgrows
     the budget, masses below 1e-15 are dropped and the lattice tails
-    trimmed; the dropped mass is reported on the result, and a lattice that
+    trimmed; the dropped mass is reported on the result.  A single-packet
+    lattice over the budget, a stream reaching 2**53 ticks, a lattice that
     stays too large, or a closed form that would evaluate more than 64
-    count tuples per budgeted atom, raises ResourceLimitError.
+    count tuples per budgeted atom raises ResourceLimitError.
     """
     check_length("packet count n_packets", n_packets)
-    base, denom = _to_lattice(pmf)
-    power = _multinomial_power if 0 < np.count_nonzero(base.mass) <= 3 else _convolution_power
-    result, pruned = power(base, n_packets, atom_budget)
+    ticks = pmf.ticks
+    if int(n_packets) * int(ticks[-1]) >= _EXACT_TICKS:
+        raise ResourceLimitError(f"{n_packets} packets reach 2**53 ticks of 1/{pmf.denom} slot")
+    step = math.gcd(*(ticks - ticks[0]).tolist()) or 1
+    index = (ticks - ticks[0]) // step
+    if index[-1] >= atom_budget:
+        raise ResourceLimitError(f"one packet spans {index[-1] + 1} lattice points, over the "
+                                 f"budget of {atom_budget}; quantise the coefficients")
+    mass = np.zeros(index[-1] + 1)
+    mass[index] = pmf.mass
+    power = _multinomial_power if 0 < np.count_nonzero(pmf.mass) <= 3 else _convolution_power
+    result, pruned = power(_Lattice(0, mass), n_packets, atom_budget)
     nonzero = np.flatnonzero(result.mass)
-    support = tuple(Fraction(result.offset + int(i) * result.step, denom) for i in nonzero)
-    return DelayPmf(support, tuple(result.mass[nonzero].tolist()), pruned + pmf.pruned_mass * n_packets)
+    ticks = int(n_packets) * int(ticks[0]) + (result.offset + nonzero) * step
+    return DelayPmf._on_lattice(ticks, pmf.denom, result.mass[nonzero], pruned + pmf.pruned_mass * n_packets)
 
 
 def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float) -> DelayPmf:
@@ -326,17 +327,8 @@ def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float)
         for x, e in ((1.0 - p_fail, i), (p_fail, n_packets - i)):  # log(x ** e), 0 ** 0 = 1
             log_mass += 0.0 if e == 0 else (e * math.log(x) if x > 0.0 else -math.inf)
         atoms[d] = atoms.get(d, 0.0) + math.exp(log_mass)
-    return DelayPmf.from_atoms(atoms)
-
-
-def _suffix_tails(mass: tuple[float, ...]) -> list[float]:
-    """P(X > support[j]) by right-to-left accumulation; last entry exactly 0."""
-    tails = [0.0] * len(mass)
-    acc = 0.0
-    for j in range(len(mass) - 1, 0, -1):
-        acc += mass[j]
-        tails[j - 1] = min(1.0, acc)
-    return tails
+    support = sorted(atoms)
+    return DelayPmf(support, [atoms[d] for d in support])
 
 
 def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]:
@@ -346,9 +338,12 @@ def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]
     curve starts at 1 below the smallest support point and ends at 0.
     """
     check_length("packet count n_packets", n_packets)
-    tails = _suffix_tails(stream.mass)
-    # int true division rounds correctly, so this is float((d - N) / N) exactly
-    return [
-        ((d.numerator - n_packets * d.denominator) / (n_packets * d.denominator), t)
-        for d, t in zip(stream.support, tails)
-    ]
+    scale = int(n_packets) * stream.denom
+    if scale >= _EXACT_TICKS:
+        raise ResourceLimitError(f"{n_packets} packets of 1/{stream.denom} slot ticks reach 2**53")
+    # P(X > x_j), accumulated right to left; the last entry is exactly 0
+    tails = np.minimum(np.append(np.cumsum(stream.mass[:0:-1])[::-1], 0.0), 1.0)
+    # both operands are exact below 2**53, so each quotient is correctly
+    # rounded: float((d - N) / N) for the fraction d = ticks / denom
+    overhead = (stream.ticks - scale) / scale
+    return list(zip(overhead.tolist(), tails.tolist()))

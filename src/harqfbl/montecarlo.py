@@ -36,7 +36,6 @@ from .errors import DomainError, ResourceLimitError
 from .fbl import DEFAULT_KERNEL, KernelOptions, check_length, check_snr, round_stepper
 from .fsmc import FsmcModel
 from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_grid
-from .delay import DelayPmf, single_packet_delay
 
 _BLOCK = 1 << 14  # packets or trace offsets per kernel step
 
@@ -100,14 +99,13 @@ class TraceChannel:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical outcome frequencies, throughput and delay with standard errors."""
+    """Empirical outcome frequencies and throughput with standard errors."""
 
     outcome: OutcomeDistribution
     outcome_se: tuple[float, ...]
     p_e_se: float
     throughput: float
     throughput_se: float
-    delay: DelayPmf
     packets: int
 
 
@@ -135,15 +133,12 @@ def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int)
     var += (tp / ybar) ** 2 * sy ** 2 / n
     var -= 2.0 * tp ** 2 / (max(xbar, 1e-300) * ybar) * cxy / n
     tp_se = math.sqrt(max(var, 0.0))
-
-    emp_delay = single_packet_delay(cfg, outcome)
     return SimResult(
         outcome=outcome,
         outcome_se=_binomial_se(freq[:m], packets),
         p_e_se=math.sqrt(freq[m] * (1.0 - freq[m]) / packets),
         throughput=float(tp),
         throughput_se=tp_se,
-        delay=emp_delay,
         packets=packets,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,10 @@ class TestCommands:
             "tau_grid = 0.5\n"
         )
         assert main(["per-curve", "--config", str(huge), "--out", str(tmp_path)]) == EXIT_RESOURCE
+        # 7-digit taus put one packet on a lattice of 2e11 points, over the atom budget
+        fine = tmp_path / "fine.cfg"
+        fine.write_text("preset = fig3\nm = 3\ntaus = 1.0,0.1234567,0.2345671\nschemes = IR\n")
+        assert main(["delay", "--config", str(fine), "--out", str(tmp_path)]) == EXIT_RESOURCE
         capsys.readouterr()
 
     def test_delay_csv_uses_twelve_significant_digits(self, tmp_path):
@@ -203,6 +208,21 @@ class TestCommands:
         assert all(x == f"{float(x):.12g}" for x in numbers)
         # some tail value needs all twelve digits, so none were cut shorter
         assert any(len(x.lstrip("-0.").replace(".", "").split("e")[0]) == 12 for x in numbers)
+
+    @pytest.mark.parametrize(
+        "preset, digest",
+        [
+            ("fig3", "03aee77a19cee03cb6167505a0da88a631922b61c5c1db3f31499ff87aedcf4d"),
+            ("fig3_tau09", "8fc07ba70b056e60eb783ef1e607fe577ac68d013c187b83a3a4ff320b970b8b"),
+        ],
+    )
+    def test_delay_artifacts_are_pinned(self, tmp_path, capsys, preset, digest):
+        # the sha256 of every line but the '#' header, which names the output directory
+        assert main(["delay", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / f"{preset}_delay.csv").read_text().splitlines(keepends=True)
+        body = "".join(l for l in lines if not l.startswith("#"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+        capsys.readouterr()
 
     def test_delay_csv_reports_pruned_mass(self, tmp_path, monkeypatch):
         # a tight lattice budget makes the stream prune its far tail; the

@@ -35,6 +35,10 @@ def ccdf_at(curve: list[tuple[float, float]], x: float) -> float:
     return result
 
 
+def mean(pmf):
+    return sum(float(d) * m for d, m in zip(pmf.support, pmf.mass))
+
+
 def ir_cfg(k, taus, n=100):
     return HarqConfig(CodeParams(n, k), Scheme.IR, len(taus), tuple(taus))
 
@@ -133,7 +137,7 @@ class TestStreamDelay:
         out = outcomes_awgn(cfg, db_to_linear(-4.0))
         pmf = single_packet_delay(cfg, out)
         stream = stream_delay(pmf, 500)
-        assert stream.mean() == pytest.approx(500 * pmf.mean(), rel=1e-9)
+        assert mean(stream) == pytest.approx(500 * mean(pmf), rel=1e-9)
 
     def test_atom_budget_enforced(self):
         support = tuple(Fraction(100 + i, 100) for i in range(64))
@@ -153,14 +157,12 @@ class TestStreamDelay:
 
 def aligned(a, b):
     """Two lattice results on one index range, as arrays of equal length."""
-    assert a.step == b.step
     lo = min(a.offset, b.offset)
-    hi = max(a.offset + len(a.mass) * a.step, b.offset + len(b.mass) * b.step)
+    hi = max(a.offset + len(a.mass), b.offset + len(b.mass))
     out = []
     for lat in (a, b):
-        full = np.zeros((hi - lo) // a.step)
-        start = (lat.offset - lo) // a.step
-        full[start : start + len(lat.mass)] = lat.mass
+        full = np.zeros(hi - lo)
+        full[lat.offset - lo : lat.offset - lo + len(lat.mass)] = lat.mass
         out.append(full)
     return out
 
@@ -179,7 +181,10 @@ class TestClosedForm:
     @pytest.mark.parametrize("pmf", [TWO_ATOMS, THREE_ATOMS], ids=["m2", "m3"])
     @pytest.mark.parametrize("n_packets", [1, 2, 7, 200, 2000])
     def test_matches_binary_exponentiation(self, pmf, n_packets):
-        base, _ = delay._to_lattice(pmf)
+        step = math.gcd(*(pmf.ticks - pmf.ticks[0]).tolist())
+        mass = np.zeros((pmf.ticks[-1] - pmf.ticks[0]) // step + 1)
+        mass[(pmf.ticks - pmf.ticks[0]) // step] = pmf.mass
+        base = delay._Lattice(0, mass)
         closed, pruned_c = delay._multinomial_power(base, n_packets, delay.DEFAULT_ATOM_BUDGET)
         lattice, pruned_l = delay._convolution_power(base, n_packets, delay.DEFAULT_ATOM_BUDGET)
         a, b = aligned(closed, lattice)
@@ -216,11 +221,25 @@ class TestClosedForm:
         stream = stream_delay(pmf, 1000)
         assert stream.support == (Fraction(1000),) and stream.mass == (1.0,)
 
-    def test_ccdf_is_the_fraction_formula_bit_for_bit(self):
-        n_packets = 2000
-        stream = stream_delay(THREE_ATOMS, n_packets)
+    @pytest.mark.parametrize(
+        "pmf, n_packets",
+        [
+            (THREE_ATOMS, 2000),
+            (TWO_ATOMS, 100_000),
+            # a 6-digit tau denominator: ticks near 1.1e11 at this length
+            (DelayPmf((1, Fraction(1_123_457, 1_000_000)), (0.8, 0.2)), 100_000),
+        ],
+        ids=["m3", "m2-long", "fine-tau"],
+    )
+    def test_ccdf_is_the_fraction_formula_bit_for_bit(self, pmf, n_packets):
+        stream = stream_delay(pmf, n_packets)
         curve = overhead_ccdf(stream, n_packets)
         assert [x for x, _ in curve] == [float((d - n_packets) / n_packets) for d in stream.support]
+        tails, acc = [0.0], 0.0
+        for m in stream.mass[:0:-1].tolist():  # right to left, one addition at a time
+            acc += m
+            tails.append(min(1.0, acc))
+        assert [t for _, t in curve] == tails[::-1]
 
     def test_pruned_window_keeps_every_atom_above_the_threshold(self):
         # over budget, the closed form keeps exactly the counts of mass at
@@ -260,6 +279,10 @@ class TestClosedForm:
     def test_past_exact_counts_raises(self):
         with pytest.raises(ResourceLimitError, match="2\\*\\*53"):
             stream_delay(TWO_ATOMS, 2**60)
+        with pytest.raises(ResourceLimitError, match="2\\*\\*53"):
+            overhead_ccdf(TWO_ATOMS, 2**60)
+        with pytest.raises(ResourceLimitError, match="2\\*\\*53"):
+            DelayPmf((1, Fraction(2**53, 3)), (0.5, 0.5))
 
 
 class TestCountsAndParameters:
@@ -276,6 +299,30 @@ class TestCountsAndParameters:
     def test_masses_must_be_finite_and_nonnegative(self, mass):
         with pytest.raises(DomainError, match="masses"):
             DelayPmf((Fraction(1), Fraction(2)), mass)
+
+    def test_float_support_is_read_as_fractions(self):
+        floats = stream_delay(DelayPmf((1, 7 / 5), (0.8, 0.2)), 10)
+        exact = stream_delay(TWO_ATOMS, 10)
+        assert floats.support == exact.support
+        assert floats.mass.tolist() == exact.mass.tolist()
+
+    @pytest.mark.parametrize(
+        "support, mass",
+        [
+            ((1.0, math.nan), (0.5, 0.5)),
+            ((1.0, math.inf), (0.5, 0.5)),
+            ((1.0, "2"), (0.5, 0.5)),
+            ((2, Fraction(3, 2)), (0.5, 0.5)),
+            ((1, 1.0), (0.5, 0.5)),
+            ((-1, 1), (0.5, 0.5)),
+            ((1, 2), (1.0,)),
+            ((), ()),
+        ],
+        ids=["nan", "inf", "string", "decreasing", "repeated", "negative", "unequal", "empty"],
+    )
+    def test_invalid_supports_raise_domain_error(self, support, mass):
+        with pytest.raises(DomainError):
+            DelayPmf(support, mass)
 
     @pytest.mark.parametrize("tau1", [math.nan, math.inf])
     def test_binomial_rejects_non_finite_tau(self, tau1):
