@@ -25,6 +25,7 @@ from .outcomes import (
     HarqConfig,
     OutcomeDistribution,
     Scheme,
+    outcome_on,
     outcomes_awgn,
     throughput,
 )
@@ -56,7 +57,6 @@ from .optimize import (
     at_snr,
     optimize_tau1,
     optimize_tau12,
-    outcome_on,
     sweep,
 )
 from .montecarlo import (

@@ -36,12 +36,11 @@ from .optimize import (
     at_snr,
     check_tau_grid,
     outcome_grid,
-    outcome_on,
     reports_csv_lines,
-    reports_to_json,
+    reports_payload,
     sweep,
 )
-from .outcomes import HarqConfig, Scheme, throughput
+from .outcomes import HarqConfig, Scheme, outcome_on, throughput
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,12 +73,7 @@ def _harq_config(cfg: dict[str, Any], k: int | None = None, taus: tuple[float, .
     scheme_name = scheme or cfg.get("scheme", "IR")
     m = cfg["m"]
     if taus is None:
-        if scheme_name == "CC":
-            taus = (1.0,) * m
-        elif "taus" in cfg:
-            taus = tuple(cfg["taus"])
-        else:
-            taus = (1.0,) * m
+        taus = tuple(cfg["taus"]) if scheme_name != "CC" and "taus" in cfg else (1.0,) * m
     code = CodeParams(cfg["n"], k if k is not None else cfg["k"])
     return HarqConfig(code=code, scheme=Scheme(scheme_name), m=m, taus=taus)
 
@@ -145,9 +139,9 @@ def _grid_table(cfg: dict[str, Any], command: str, ks: list[int], candidates: li
     for snr_db in cfg["snr_db"]:
         point = at_snr(channel, snr_db)
         for k in ks:
-            for harq, out in outcome_grid(_harq_config(cfg, k, candidates[0]), point, candidates, kernel):
-                taus = harq.taus[-len(tau_columns):]
-                rows.append([snr_db, k, *taus, out.p_e, _log10(out.p_e), throughput(harq, out)])
+            per, tp = outcome_grid(_harq_config(cfg, k, candidates[0]), point, candidates, kernel)
+            for taus, p_e, eta in zip(candidates, per.tolist(), tp.tolist()):
+                rows.append([snr_db, k, *taus[-len(tau_columns):], p_e, _log10(p_e), eta])
     print(_write_table(cfg, command, ["snr_db", "k", *tau_columns, "per", "log10_per", "throughput"], rows))
     return EXIT_OK
 
@@ -248,7 +242,7 @@ def cmd_optimize(cfg: dict[str, Any]) -> int:
     csv_path = _out_path(cfg, "optimize", "csv")
     _write_lines(csv_path, config_header_lines(cfg), list(reports_csv_lines(reports)))
     json_path = _out_path(cfg, "optimize", "json")
-    _write_json(json_path, {"reports": json.loads(reports_to_json(reports))}, cfg)
+    _write_json(json_path, {"reports": reports_payload(reports)}, cfg)
     print(csv_path)
     print(json_path)
     return EXIT_OK

@@ -1,9 +1,11 @@
 """HARQ outcome probabilities over the finite-state Markov channel.
 
-outcomes_fading telescopes the path-averaged errors A_1..A_m that
-outcomes.prefix_error_grid computes on an FsmcModel, exactly as in the
-fixed-SNR case: p_0 = 1 - A_1, p_i = A_i - A_{i+1}, p_e = A_m.  Its
-sampled counterpart is montecarlo.simulate_harq on the same model.
+outcomes_fading is outcomes.outcome_on on an FsmcModel: the path-averaged
+errors A_1..A_m telescope exactly as in the fixed-SNR case, p_0 = 1 - A_1,
+p_i = A_i - A_{i+1}, p_e = A_m.  It stays a function of its own, taking a
+FadingOutcomeQuery, because the benchmark harness (harqbench) names and
+traces it.  Its sampled counterpart is montecarlo.simulate_harq on the
+same model.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 
 from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
 from .fsmc import FsmcModel
-from .outcomes import (DEFAULT_PATH_BUDGET, HarqConfig, OutcomeDistribution, distribution_from_prefix_errors,
-                       prefix_error_grid)
+from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, OutcomeDistribution, outcome_on
 
 
 @dataclass(frozen=True)
@@ -36,5 +37,4 @@ def outcomes_fading(query: FadingOutcomeQuery) -> OutcomeDistribution:
     With a single-state model this reduces to the fixed-SNR distribution at
     that state's SNR.
     """
-    A = prefix_error_grid([query.cfg], query.model, query.kernel, query.path_budget)
-    return distribution_from_prefix_errors(tuple(A[:, 0].tolist()))
+    return outcome_on(query.cfg, query.model, query.kernel, query.path_budget)

@@ -70,6 +70,12 @@ def check_length(name: str, value: int) -> None:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_real(name: str, value: float) -> None:
+    # bool is a Real subclass but never a quantity
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def channel_dispersion(gamma: float) -> float:
     """Channel dispersion V(gamma) = (1 - (1+gamma)^-2) * log2(e)^2 in bits^2.
 

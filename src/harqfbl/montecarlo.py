@@ -119,7 +119,7 @@ def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int)
     freq = counts / packets
     outcome = OutcomeDistribution(tuple(float(f) for f in freq[:m]), float(freq[m]))
 
-    slots = np.asarray(cfg.cumulative_slots())
+    slots = np.cumsum(cfg.taus)
     cost = np.where(resolved == m, slots[-1], slots[np.minimum(resolved, m - 1)])
     success = (resolved < m).astype(np.float64)
     rate = cfg.code.rate
@@ -220,7 +220,7 @@ def simulate_harq(
         u = rng.random(packets)  # drawn after the paths
         return _result_from_resolution(cfg, _resolve(cfg, kernel, snrs[np.array(states)], u), packets)
     if not isinstance(channel, TraceChannel):
-        eps = prefix_error_grid([cfg], channel, kernel)
+        eps = prefix_error_grid(cfg, [cfg.taus], channel, kernel)
         return _result_from_resolution(cfg, _first_success(eps, rng.random(packets)), packets)
 
     check_snr(channel.avg_snr)

@@ -1,24 +1,24 @@
 """Grid search of retransmission coefficients under a PER constraint.
 
-A channel is either a linear SNR or an FsmcModel; outcome_on evaluates a
-configuration on either, outcome_grid a whole grid of candidate taus in
-one batch, and at_snr moves either to another mean SNR.  The feasible
-candidate with the highest throughput wins.  Ties break toward the
-shorter retransmission, which also means less queueing delay.
+A channel is either a linear SNR or an FsmcModel.  outcome_grid evaluates
+a whole grid of candidate taus in one batch and returns PER and throughput
+as arrays, one entry per candidate; at_snr moves a channel to another mean
+SNR.  The feasible candidate with the highest throughput wins.  Ties break
+toward the shorter retransmission, which also means less queueing delay.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
-from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear
-from .fading import FadingOutcomeQuery, outcomes_fading
+from .fading import outcomes_fading  # noqa: F401  harqbench's traced-run test reads it from this module
+from .fbl import DEFAULT_KERNEL, KernelOptions, check_real, db_to_linear
 from .fsmc import FsmcModel
-from .outcomes import (DEFAULT_PATH_BUDGET, HarqConfig, OutcomeDistribution, distribution_from_prefix_errors,
-                       outcomes_awgn, prefix_error_grid, throughput)
+from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, prefix_error_grid, telescope, throughput_grid
 
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
@@ -27,22 +27,10 @@ FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
 def outcome_grid(cfg_base: HarqConfig, channel: float | FsmcModel,
                  candidates: Sequence[tuple[float, ...]],
                  kernel: KernelOptions = DEFAULT_KERNEL,
-                 path_budget: int = DEFAULT_PATH_BUDGET) -> Iterable[tuple[HarqConfig, OutcomeDistribution]]:
-    """(config, outcome distribution) of cfg_base with each candidate taus, computed in one batch."""
-    if not candidates:
-        raise DomainError("candidate list must be nonempty")
-    cfgs = [cfg_base.with_taus(tuple(taus)) for taus in candidates]
-    A = prefix_error_grid(cfgs, channel, kernel, path_budget)
-    return ((cfg, distribution_from_prefix_errors(tuple(A[:, i].tolist()))) for i, cfg in enumerate(cfgs))
-
-
-def outcome_on(cfg: HarqConfig, channel: float | FsmcModel,
-               kernel: KernelOptions = DEFAULT_KERNEL,
-               path_budget: int = DEFAULT_PATH_BUDGET) -> OutcomeDistribution:
-    """Outcome distribution on a linear SNR or on the FSMC fading model."""
-    if isinstance(channel, FsmcModel):
-        return outcomes_fading(FadingOutcomeQuery(cfg, channel, kernel, path_budget))
-    return outcomes_awgn(cfg, channel, kernel)
+                 path_budget: int = DEFAULT_PATH_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+    """(PER, throughput) arrays of cfg_base with each candidate taus (checked as rows), in one batch."""
+    p, p_e = telescope(prefix_error_grid(cfg_base, candidates, channel, kernel, path_budget))
+    return p_e, throughput_grid(cfg_base, np.asarray(candidates, dtype=float), p, p_e)
 
 
 def at_snr(channel: float | FsmcModel, snr_db: float) -> float | FsmcModel:
@@ -58,6 +46,7 @@ def check_tau_grid(grid: Sequence[float]) -> None:
         raise DomainError("tau grid must be nonempty")
     last = 0.0
     for t in grid:
+        check_real("tau grid entry", t)
         if not 0.0 < t <= 1.0 or t <= last:
             raise DomainError("tau grid must be strictly increasing within (0, 1]")
         last = t
@@ -90,13 +79,14 @@ class OptimizationProblem:
     path_budget: int = DEFAULT_PATH_BUDGET
 
     def __post_init__(self) -> None:
+        check_real("PER threshold", self.per_ceiling)
         if not 0.0 < self.per_ceiling <= 1.0:
             raise DomainError(f"PER threshold must lie in (0, 1], got {self.per_ceiling}")
         check_tau_grid(self.tau_grid)
         if self.constraint not in ("ceiling", "floor"):
             raise DomainError(f"unknown constraint direction {self.constraint!r}")
 
-    def is_feasible(self, per: float) -> bool:
+    def is_feasible(self, per):  # a number or an array
         if self.constraint == "ceiling":
             return per <= self.per_ceiling
         return per >= self.per_ceiling
@@ -120,15 +110,12 @@ class OptimizationReport:
 
 def _report(problem: OptimizationProblem, candidates: Sequence[tuple[float, ...]],
             tie_key) -> OptimizationReport:
-    frontier = [FrontierPoint(cfg.taus, out.p_e, throughput(cfg, out), problem.is_feasible(out.p_e))
-                for cfg, out in outcome_grid(problem.cfg_base, problem.channel, candidates,
-                                             problem.kernel, problem.path_budget)]
-    feasible_pts = [p for p in frontier if p.feasible]
-    if feasible_pts:
-        best = max(feasible_pts, key=lambda p: (p.throughput, tie_key(p.taus)))
-        return OptimizationReport(best.taus, best.per, best.throughput, True, tuple(frontier))
-    best = max(frontier, key=lambda p: (-p.per, tie_key(p.taus)))
-    return OptimizationReport(best.taus, best.per, best.throughput, False, tuple(frontier))
+    per, tp = outcome_grid(problem.cfg_base, problem.channel, candidates, problem.kernel, problem.path_budget)
+    frontier = tuple(map(FrontierPoint, candidates, per.tolist(), tp.tolist(), problem.is_feasible(per).tolist()))
+    # the best feasible point, or failing that the best-effort minimum-PER one
+    pool = [p for p in frontier if p.feasible] or frontier
+    best = max(pool, key=lambda p: (p.throughput if p.feasible else -p.per, tie_key(p.taus)))
+    return OptimizationReport(best.taus, best.per, best.throughput, best.feasible, frontier)
 
 
 def optimize_tau1(problem: OptimizationProblem) -> OptimizationReport:
@@ -147,12 +134,7 @@ def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
     """
     if problem.cfg_base.m != 3:
         raise DomainError(f"optimize_tau12 needs m = 3, got m = {problem.cfg_base.m}")
-    candidates = [
-        (1.0, t1, t2)
-        for t1 in problem.tau_grid
-        for t2 in problem.tau_grid
-        if t2 <= t1
-    ]
+    candidates = [(1.0, t1, t2) for t1 in problem.tau_grid for t2 in problem.tau_grid if t2 <= t1]
     return _report(problem, candidates, lambda taus: (-(taus[1] + taus[2]), -taus[1]))
 
 
@@ -160,6 +142,8 @@ def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[Optimi
     """One optimisation per SNR; the fading partition is reused across SNRs."""
     if len(snrs_db) == 0:
         raise DomainError("SNR list must be nonempty")
+    for snr_db in snrs_db:
+        check_real("SNR in dB", snr_db)
     optimise = optimize_tau1 if problem.cfg_base.m == 2 else optimize_tau12
     return [
         replace(optimise(replace(problem, channel=at_snr(problem.channel, snr_db))), snr_db=snr_db)
@@ -177,25 +161,10 @@ def reports_csv_lines(reports: Sequence[OptimizationReport]) -> Iterable[str]:
         )
 
 
-def reports_to_json(reports: Sequence[OptimizationReport]) -> str:
-    payload = []
-    for r in reports:
-        payload.append(
-            {
-                "snr_db": r.snr_db,
-                "tau_hat": list(r.tau_hat),
-                "per": r.achieved_per,
-                "throughput": r.achieved_throughput,
-                "feasible": r.feasible,
-                "frontier": [
-                    {
-                        "taus": list(p.taus),
-                        "per": p.per,
-                        "throughput": p.throughput,
-                        "feasible": p.feasible,
-                    }
-                    for p in r.frontier
-                ],
-            }
-        )
-    return json.dumps(payload, indent=2)
+def reports_payload(reports: Sequence[OptimizationReport]) -> list[dict]:
+    """The reports as JSON-ready records, frontier included."""
+    return [
+        {"snr_db": r.snr_db, "tau_hat": list(r.tau_hat), "per": r.achieved_per, "throughput": r.achieved_throughput,
+         "feasible": r.feasible, "frontier": [asdict(p) for p in r.frontier]}
+        for r in reports
+    ]

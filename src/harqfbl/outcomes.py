@@ -1,4 +1,4 @@
-"""HARQ resolution-event probabilities and throughput.
+"""HARQ resolution-event probabilities and throughput, as array rules.
 
 A packet is resolved either by a success after exactly i retransmissions
 (probability p_i, i = 0 .. m-1) or by exhausting all m transmissions
@@ -16,20 +16,22 @@ from the marginal q and each retransmission advances the chain one step:
 A fixed SNR is the one-state chain.  prefix_error_grid is the one place
 that computes A_1..A_m: it walks the state paths breadth-first over the
 nonzero transitions, and one fbl.round_stepper step advances all live
-paths of a depth for a batch of tau candidates.  The worst-case node
-count sum_j L^j is checked against an enumeration budget first; the
+paths of a depth for a (candidates x m) matrix of taus.  The worst-case
+node count sum_j L^j is checked against an enumeration budget first; the
 sampled counterpart, montecarlo.simulate_harq on a model, needs none.
+telescope and throughput_grid turn A into (p, p_e) and throughput for all
+candidates at once; outcome_on and throughput are their one-candidate cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, HarqFblError, ResourceLimitError
-from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_length, check_snr, round_stepper
+from .fbl import (DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_length, check_real, check_snr,
+                  round_stepper)
 from .fsmc import FsmcModel
 
 DEFAULT_PATH_BUDGET = 10_000_000
@@ -41,13 +43,39 @@ def round_lengths(taus, n: int) -> np.ndarray:
     return np.maximum(1, np.floor(np.asarray(taus, dtype=float) * n + 0.5)).astype(np.int64)
 
 
+def tau_matrix(scheme: Scheme, m: int, taus) -> np.ndarray:
+    """taus as a nonempty (candidates x m) float array, each row checked.
+
+    tau_0 (the first transmission) is 1, every coefficient lies in (0, 1],
+    and chase combining, which repeats the whole codeword, has all-ones rows.
+    """
+    try:
+        T = np.asarray(taus)
+    except ValueError:  # ragged rows
+        raise DomainError(f"tau candidates must be rows of {m} coefficients") from None
+    if T.dtype == object:  # Fractions, say; each must be a real number
+        for t in T.flat:
+            check_real("a coefficient", t)
+        T = T.astype(float)
+    if T.dtype.kind not in "biuf" or T.ndim != 2 or T.shape[1] != m or len(T) == 0:
+        raise DomainError(f"expected a nonempty (candidates x {m}) array of coefficients, got {T.shape} {T.dtype}")
+    T = T.astype(float)
+    if np.any(T[:, 0] != 1.0):
+        raise DomainError(f"tau_0 must be 1, got {T[T[:, 0] != 1.0, 0][0]}")
+    outside = ~((0.0 < T) & (T <= 1.0))
+    if outside.any():
+        raise DomainError(f"coefficients must lie in (0, 1], got {T[outside][0]}")
+    if scheme is Scheme.CC and np.any(T != 1.0):
+        raise DomainError("chase combining repeats the full codeword; all taus must be 1")
+    return T
+
+
 @dataclass(frozen=True)
 class HarqConfig:
     """Code, combining scheme, transmission budget m and coefficients tau.
 
-    taus[0] is the first transmission and must be 1; retransmission i sends
-    round_lengths()[i] = round(taus[i] * n) symbols.  Chase combining always
-    repeats the whole codeword, so it requires all-ones taus.
+    Retransmission i sends round_lengths()[i] = round(taus[i] * n) symbols;
+    tau_matrix states the rule the taus obey.
     """
 
     code: CodeParams
@@ -57,15 +85,7 @@ class HarqConfig:
 
     def __post_init__(self) -> None:
         check_length("transmission budget m", self.m)
-        if len(self.taus) != self.m:
-            raise DomainError(f"expected {self.m} coefficients, got {len(self.taus)}")
-        if self.taus[0] != 1.0:
-            raise DomainError(f"tau_0 must be 1, got {self.taus[0]}")
-        for t in self.taus:
-            if not 0.0 < t <= 1.0:
-                raise DomainError(f"coefficients must lie in (0, 1], got {t}")
-        if self.scheme is Scheme.CC and any(t != 1.0 for t in self.taus):
-            raise DomainError("chase combining repeats the full codeword; all taus must be 1")
+        tau_matrix(self.scheme, self.m, [self.taus])
 
     def round_lengths(self) -> tuple[int, ...]:
         """Symbol count per round; see round_lengths."""
@@ -74,14 +94,11 @@ class HarqConfig:
     def with_taus(self, taus: tuple[float, ...]) -> "HarqConfig":
         return replace(self, taus=taus)
 
-    def cumulative_slots(self) -> tuple[float, ...]:
-        """Slot cost of resolving at round i: sum of taus[0..i]."""
-        out = []
-        acc = 0.0
-        for t in self.taus:
-            acc += t
-            out.append(acc)
-        return tuple(out)
+
+def _check_probabilities(x) -> None:
+    outside = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))  # written so that NaN fails too
+    if outside.any():
+        raise DomainError(f"outcome probability out of range: {x[outside][0]}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +110,8 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         for x in (*self.p, self.p_e):
-            if not -1e-12 <= x <= 1.0 + 1e-12:
-                raise DomainError(f"outcome probability out of range: {x}")
+            check_real("an outcome probability", x)
+        _check_probabilities(np.array([*self.p, self.p_e], dtype=float))
 
     @property
     def total(self) -> float:
@@ -103,10 +120,8 @@ class OutcomeDistribution:
 
 def _check_budget(n_states: int, m: int, budget: int) -> None:
     nodes = 0
-    power = 1
-    for _ in range(m):
-        power *= n_states
-        nodes += power
+    for depth in range(1, m + 1):
+        nodes += n_states ** depth
         if nodes > budget:
             raise ResourceLimitError(
                 f"state-path enumeration needs {nodes}+ nodes for L={n_states}, m={m}, "
@@ -114,18 +129,22 @@ def _check_budget(n_states: int, m: int, budget: int) -> None:
             )
 
 
-def prefix_error_grid(cfgs: Sequence[HarqConfig], channel: float | FsmcModel,
+def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
                       kernel: KernelOptions = DEFAULT_KERNEL,
                       path_budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
-    """A_1..A_m (rows) of configurations that differ only in taus (columns).
+    """A_1..A_m (rows) of cfg with each row of taus in place of cfg.taus (columns).
 
-    A linear SNR is the one-state chain.  Each kernel step takes one depth's
-    live paths for a block of at most _BLOCK_ELEMENTS paths x configurations.
+    taus is a (candidates x m) matrix (see tau_matrix); the channel is an
+    FsmcModel or a real linear SNR, which is the one-state chain.  Each
+    kernel step takes one depth's live paths for a block of at most
+    _BLOCK_ELEMENTS paths x candidates.
     """
-    cfg = cfgs[0]
-    chain = ((1.0,), ((1.0,),), (channel,))  # a linear SNR
+    taus = tau_matrix(cfg.scheme, cfg.m, taus)
     if isinstance(channel, FsmcModel):
         chain = (channel.q, channel.transitions, channel.state_snrs)
+    else:
+        check_real("a channel that is not an FsmcModel", channel)
+        chain = ((1.0,), ((1.0,),), (channel,))
     q, P, snrs = (np.asarray(x, dtype=float) for x in chain)
     check_snr(snrs.min())  # NaN propagates, so it fails too
     _check_budget(len(q), cfg.m, path_budget)
@@ -136,10 +155,10 @@ def prefix_error_grid(cfgs: Sequence[HarqConfig], channel: float | FsmcModel,
         state, prob, _ = levels[-1]
         parent, nxt = np.nonzero(P[state] > 0.0)
         levels.append((nxt, prob[parent] * P[state[parent], nxt], parent))
-    lengths = round_lengths([c.taus for c in cfgs], cfg.code.n).T[:, :, None]
+    lengths = round_lengths(taus, cfg.code.n).T[:, :, None]
     width = max(1, _BLOCK_ELEMENTS // max(len(level[0]) for level in levels))
-    A = np.empty((cfg.m, len(cfgs)))
-    for lo in range(0, len(cfgs), width):
+    A = np.empty((cfg.m, len(taus)))
+    for lo in range(0, len(taus), width):
         step, carry = round_stepper(cfg.code, lengths[:, lo:lo + width], cfg.scheme, kernel)
         for depth, (state, prob, parent) in enumerate(levels):
             if parent is not None:
@@ -149,44 +168,51 @@ def prefix_error_grid(cfgs: Sequence[HarqConfig], channel: float | FsmcModel,
     return A
 
 
-def distribution_from_prefix_errors(eps: tuple[float, ...]) -> OutcomeDistribution:
-    """Telescope A_1..A_m into an OutcomeDistribution.
+def telescope(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p_e) of A_1..A_m (rows): p holds p_0..p_{m-1} (rows), one column per candidate.
 
-    Floating-point can make eps_i - eps_{i+1} negative by a few ulps; such
+    Floating-point can make A_i - A_{i+1} negative by a few ulps; such
     terms are floored at zero and the defect is folded into p_0 so the
     distribution still sums to one.
     """
-    m = len(eps)
-    p = [1.0 - eps[0]]
-    defect = 0.0
-    for i in range(1, m):
-        d = eps[i - 1] - eps[i]
-        if d < 0.0:
-            defect += -d
-            d = 0.0
-        p.append(d)
-    p_e = eps[m - 1]
-    p[0] = max(0.0, p[0] - defect)
-    return OutcomeDistribution(tuple(p), p_e)
+    d = A[:-1] - A[1:]
+    p0 = (1.0 - A[0]) - sum(np.where(d < 0.0, -d, 0.0))  # the defect, summed round by round
+    p = np.vstack([np.where(p0 > 0.0, p0, 0.0), np.where(d < 0.0, 0.0, d)])
+    _check_probabilities(np.vstack([p, A[-1]]))
+    return p, A[-1]
+
+
+def throughput_grid(cfg: HarqConfig, taus, p: np.ndarray, p_e) -> np.ndarray:
+    """Delivered information bits per symbol-slot of each candidate (column).
+
+    (k/n) * (1 - p_e) / expected slot cost, where a success at round i costs
+    taus[0] + ... + taus[i] slots and an exhausted packet costs the full
+    sum of coefficients.  Upper-bounded by k/n.  taus is the checked
+    (candidates x m) matrix, p and p_e come from telescope.
+    """
+    if len(p) != cfg.m:
+        raise DomainError(f"expected {cfg.m} success probabilities, got {len(p)}")
+    slots = np.cumsum(taus, axis=1).T
+    den = sum(p * slots) + p_e * slots[-1]  # round by round, then the exhausted packets
+    if np.any(den <= 0.0):
+        raise HarqFblError(f"nonpositive expected slot cost {den.min()} for a valid outcome")
+    return cfg.code.rate * (1.0 - p_e) / den
+
+
+def outcome_on(cfg: HarqConfig, channel: float | FsmcModel,
+               kernel: KernelOptions = DEFAULT_KERNEL,
+               path_budget: int = DEFAULT_PATH_BUDGET) -> OutcomeDistribution:
+    """Resolution-event distribution of cfg on a linear SNR or on an FsmcModel."""
+    p, p_e = telescope(prefix_error_grid(cfg, [cfg.taus], channel, kernel, path_budget))
+    return OutcomeDistribution(tuple(p[:, 0].tolist()), float(p_e[0]))
 
 
 def outcomes_awgn(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DEFAULT_KERNEL) -> OutcomeDistribution:
     """Resolution-event distribution when every round sees the same SNR."""
-    return distribution_from_prefix_errors(tuple(prefix_error_grid([cfg], gamma, kernel)[:, 0].tolist()))
+    return outcome_on(cfg, gamma, kernel)
 
 
 def throughput(cfg: HarqConfig, outcome: OutcomeDistribution) -> float:
-    """Delivered information bits per symbol-slot.
-
-    (k/n) * (1 - p_e) / expected slot cost, where a success at round i costs
-    taus[0] + ... + taus[i] slots and an exhausted packet costs the full
-    sum of coefficients.  Upper-bounded by k/n.
-    """
-    slots = cfg.cumulative_slots()
-    den = outcome.p[0] * slots[0]
-    for i in range(1, cfg.m):
-        den += outcome.p[i] * slots[i]
-    den += outcome.p_e * slots[-1]
-    if den <= 0.0:
-        raise HarqFblError(f"nonpositive expected slot cost {den} for a valid outcome")
-    return cfg.code.rate * (1.0 - outcome.p_e) / den
+    """Throughput of one configuration; see throughput_grid."""
+    p = np.array(outcome.p, dtype=float)[:, None]
+    return float(throughput_grid(cfg, np.array([cfg.taus], dtype=float), p, outcome.p_e)[0])

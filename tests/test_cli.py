@@ -66,6 +66,27 @@ class TestConfigParsing:
         assert cfg["k"] == 90
 
 
+# every grid, optimiser and delay artifact of the bundled presets
+PINNED = [
+    ("per-curve", "fig2a", "csv", "4dc5a8af87095e770e0e5553e77d1aa74ca6bb8ed21731fa813bcd4f64e2fd51"),
+    ("per-curve", "fig2a_cc", "csv", "f302d9ed1f2059b38890272d75bcbf1e63db7e195f4523483d8423fe9b5e624d"),
+    ("per-curve", "fig2b", "csv", "1412202b27a1422765c302d589daa32a48bc0b6e1f0fcb4d321936626b0da489"),
+    ("per-curve", "fig4a", "csv", "3eb40a3912f35b254c7f96bd77a5514717b3b79d18ba0d363a09b3a946d1e49e"),
+    ("per-curve", "fig4b", "csv", "5529bb60f7dddb8b2bc4ce53812237ad65e4081c1f2def3a51388bfd13a5493e"),
+    ("per-surface", "fig5", "csv", "33e02eb271de4c44533fbe2feecce18a16a7ccbfb68672a2e939fbd39928347c"),
+    ("delay", "fig3", "csv", "03aee77a19cee03cb6167505a0da88a631922b61c5c1db3f31499ff87aedcf4d"),
+    ("delay", "fig3_tau09", "csv", "8fc07ba70b056e60eb783ef1e607fe577ac68d013c187b83a3a4ff320b970b8b"),
+    ("optimize", "table1a_slow", "csv", "feb48f9293ecee0e571cf7af779e309a3ede7b31bb65c6d3df285552c10bbdcc"),
+    ("optimize", "table1a_slow", "json", "89236655ea269580f24c70f4226a113b1e5f72982ea8890385e15574b64cfccf"),
+    ("optimize", "table1a_fast", "csv", "eeed1a5d9d5721ac231ba5030148a9e07b06f779a5128005f7edd72d1a2f1552"),
+    ("optimize", "table1a_fast", "json", "39c0e63ca76f0b1164931150c05ae9beede16fe4f1e98a8935497e0ee9fade17"),
+    ("optimize", "table1b_slow", "csv", "79dc977d756bc99b60b75fe337a9ea95b4413c2d0a77617cb6ba2716fa42b7bc"),
+    ("optimize", "table1b_slow", "json", "8513d2841cb644bc0071d7ca3effb4a7ee1b007522b5263444f1cb3c37969930"),
+    ("optimize", "table1b_fast", "csv", "b8a9589abc8e37a929265f07240a70cdf45933ffe23d40bacc15a6388880b4f6"),
+    ("optimize", "table1b_fast", "json", "63f257b029a86be1b4472806d35cffae60fa9bcef9fe9de7ad4e1c4b48a5893c"),
+]
+
+
 class TestCommands:
     def test_per_curve_fig2a_and_determinism(self, tmp_path, capsys):
         args = ["per-curve", "--preset", "fig2a", "--out", str(tmp_path)]
@@ -210,17 +231,14 @@ class TestCommands:
         assert any(len(x.lstrip("-0.").replace(".", "").split("e")[0]) == 12 for x in numbers)
 
     @pytest.mark.parametrize(
-        "preset, digest",
-        [
-            ("fig3", "03aee77a19cee03cb6167505a0da88a631922b61c5c1db3f31499ff87aedcf4d"),
-            ("fig3_tau09", "8fc07ba70b056e60eb783ef1e607fe577ac68d013c187b83a3a4ff320b970b8b"),
-        ],
+        "command, preset, ext, digest", PINNED, ids=[f"{p}_{c.replace('-', '_')}.{e}" for c, p, e, _ in PINNED]
     )
-    def test_delay_artifacts_are_pinned(self, tmp_path, capsys, preset, digest):
-        # the sha256 of every line but the '#' header, which names the output directory
-        assert main(["delay", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
-        lines = (tmp_path / f"{preset}_delay.csv").read_text().splitlines(keepends=True)
-        body = "".join(l for l in lines if not l.startswith("#"))
+    def test_artifacts_are_pinned(self, tmp_path, capsys, command, preset, ext, digest):
+        # the sha256 of every line but those that name the output directory:
+        # a CSV's '#' header and a JSON's config entry "out"
+        assert main([command, "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / f"{preset}_{command.replace('-', '_')}.{ext}").read_text().splitlines(keepends=True)
+        body = "".join(l for l in lines if not l.startswith(("#", '    "out": ')))
         assert hashlib.sha256(body.encode()).hexdigest() == digest
         capsys.readouterr()
 
@@ -296,7 +314,7 @@ class TestCommands:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # a scipy import about triples the import time of the package, which
     # every CLI run pays; the kernel and its callers must not load it lazily
     code = (
@@ -308,9 +326,11 @@ def test_import_loads_no_scipy():
         "model = build_fixed_sojourn(4, 3.0446, 0.0855 / 0.00014, 0.00014, 10.0)\n"
         "outcomes_fading(FadingOutcomeQuery(cfg, model))\n"
         "simulate_harq(cfg, 1.0, 1_000, 0)\n"
+        "sweep(OptimizationProblem(cfg, model, 0.01), [10.0, 11.0])\n"
+        f"assert harqfbl.cli.main(['per-surface', '--preset', 'fig5', '--out', {str(tmp_path)!r}]) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(harqfbl.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split()[-1] == "False"

@@ -202,18 +202,18 @@ class TestPrefixErrorGrid:
         model = fig4a_model(12.0)
         base = HarqConfig(CodeParams(100, 70), scheme, 3, (1.0, 1.0, 1.0))
         if scheme is Scheme.IR:
-            cfgs = [base.with_taus((1.0, a, b)) for a in FINE_TAU_GRID for b in FINE_TAU_GRID if b <= a]
+            taus = [(1.0, a, b) for a in FINE_TAU_GRID for b in FINE_TAU_GRID if b <= a]
         else:
-            cfgs = [base] * 5050  # chase combining has one candidate; repeat it
+            taus = [base.taus] * 5050  # chase combining has one candidate; repeat it
         adjacent = (np.asarray(model.transitions) > 0.0).astype(int)
         deepest = int((np.asarray(model.q) > 0.0) @ adjacent @ adjacent @ np.ones(13))
-        assert len(cfgs) * deepest > 2 * _BLOCK_ELEMENTS  # more than two blocks
-        batch = prefix_error_grid(cfgs, model, kernel)
+        assert len(taus) * deepest > 2 * _BLOCK_ELEMENTS  # more than two blocks
+        batch = prefix_error_grid(base, taus, model, kernel)
         singles = {}
-        for i, cfg in enumerate(cfgs):
-            if cfg.taus not in singles:
-                singles[cfg.taus] = prefix_error_grid([cfg], model, kernel)[:, 0]
-            assert np.array_equal(batch[:, i], singles[cfg.taus]), cfg.taus
+        for i, row in enumerate(taus):
+            if row not in singles:
+                singles[row] = prefix_error_grid(base, [row], model, kernel)[:, 0]
+            assert np.array_equal(batch[:, i], singles[row]), row
 
 
 class TestMcCheck:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from harqfbl import (
@@ -215,3 +217,56 @@ class TestSweep:
         assert lines[0] == "snr_db,tau1,per,throughput,feasible"
         assert len(lines) == 3
         assert lines[1].startswith("12,")
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "field",
+        [{"per_ceiling": "0.1"}, {"per_ceiling": True}, {"tau_grid": ("a",)}, {"tau_grid": (True,)},
+         {"tau_grid": (0.5, None)}],
+        ids=["per-str", "per-bool", "grid-str", "grid-bool", "grid-none"],
+    )
+    def test_problem_takes_only_real_numbers(self, field):
+        with pytest.raises(DomainError):
+            OptimizationProblem(**{"cfg_base": base_cfg(70), "channel": 1.0, "per_ceiling": 0.1, **field})
+
+    @pytest.mark.parametrize("snrs", [["a"], [True], [12.0, None]], ids=["str", "bool", "none"])
+    def test_sweep_takes_only_real_snrs(self, snrs):
+        with pytest.raises(DomainError, match="SNR"):
+            sweep(OptimizationProblem(base_cfg(70), 1.0, per_ceiling=0.1), snrs)
+
+    @pytest.mark.parametrize(
+        "scheme, candidates",
+        [
+            (Scheme.IR, [(1.0, 0.5, 0.5)]),
+            (Scheme.IR, [(1.0, 0.5), (1.0,)]),
+            (Scheme.IR, [(1.0, 0.5), (0.9, 0.5)]),
+            (Scheme.IR, [(1.0, 0.0)]),
+            (Scheme.IR, [(1.0, 1.5)]),
+            (Scheme.IR, [(1.0, math.nan)]),
+            (Scheme.IR, [("1.0", "0.5")]),
+            (Scheme.CC, [(1.0, 1.0), (1.0, 0.5)]),
+        ],
+        ids=["length", "ragged", "tau0", "zero", "above-one", "nan", "str", "cc"],
+    )
+    def test_candidates_are_checked_like_harq_config(self, scheme, candidates):
+        cfg = HarqConfig(CodeParams(100, 70), scheme, 2, (1.0, 1.0))
+        with pytest.raises(DomainError):
+            outcome_grid(cfg, 1.0, candidates)
+        with pytest.raises(DomainError):
+            for taus in candidates:
+                HarqConfig(CodeParams(100, 70), scheme, 2, taus)
+
+
+class TestFrontierEqualsSingleConfigs:
+    @pytest.mark.parametrize("channel", [db_to_linear(-2.0), slow_fading(11.5)], ids=["fixed", "fading-L13"])
+    def test_every_point_is_outcome_on_and_throughput(self, channel):
+        # the batched array rules give every candidate the bits the
+        # one-configuration path gives it
+        problem = OptimizationProblem(base_cfg(70, m=3), channel, per_ceiling=1e-3, tau_grid=FINE_TAU_GRID)
+        report = optimize_tau12(problem)
+        assert len(report.frontier) == 5050
+        for point in report.frontier:
+            cfg = problem.cfg_base.with_taus(point.taus)
+            out = outcome_on(cfg, channel)
+            assert (point.per, point.throughput, point.feasible) == (out.p_e, throughput(cfg, out), out.p_e <= 1e-3)

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from harqfbl import (
     throughput,
 )
 from harqfbl.fbl import TransmissionRecord
-from harqfbl.outcomes import prefix_error_grid
+from harqfbl.outcomes import prefix_error_grid, telescope
 
 
 def make_ir(n, k, taus):
@@ -44,6 +46,15 @@ class TestHarqConfig:
     def test_m_must_be_a_positive_integer(self, m, taus):
         with pytest.raises(DomainError, match="transmission budget m"):
             HarqConfig(CodeParams(100, 50), Scheme.IR, m, taus)
+
+    @pytest.mark.parametrize("taus", [(1.0, "0.5"), (Fraction(1), "0.5"), (1.0, None), (1.0, 1j)])
+    def test_taus_must_be_real_numbers(self, taus):
+        with pytest.raises(DomainError):
+            make_ir(100, 70, taus)
+
+    def test_fraction_taus_evaluate_like_floats(self):
+        exact = make_ir(100, 70, [Fraction(1), Fraction(1, 2)])
+        assert outcomes_awgn(exact, 1.0) == outcomes_awgn(make_ir(100, 70, [1.0, 0.5]), 1.0)
 
     def test_round_lengths_round_to_nearest(self):
         cfg = make_ir(100, 50, [1.0, 0.58, 0.004])
@@ -146,6 +157,15 @@ class TestThroughput:
         out = outcomes_awgn(cfg, db_to_linear(snr_db))
         assert throughput(cfg, out) <= 0.7 + 1e-12
 
+    @pytest.mark.parametrize("p, p_e", [(("a",), 0.5), ((0.5,), None), ((0.5,), math.nan)], ids=["str", "none", "nan"])
+    def test_outcome_probabilities_are_checked(self, p, p_e):
+        with pytest.raises(DomainError):
+            OutcomeDistribution(p, p_e)
+
+    def test_outcome_must_have_m_success_probabilities(self):
+        with pytest.raises(DomainError, match="2 success probabilities"):
+            throughput(make_ir(100, 70, [1.0, 0.5]), OutcomeDistribution((0.5,), 0.5))
+
     def test_approaches_code_rate_at_high_snr(self):
         cfg = make_ir(100, 70, [1.0, 0.5])
         out = outcomes_awgn(cfg, db_to_linear(40.0))
@@ -155,6 +175,61 @@ class TestThroughput:
 class TestPrefixErrors:
     def test_prefixes_are_nonincreasing(self):
         cfg = make_ir(100, 70, [1.0, 0.6, 0.5])
-        eps = prefix_error_grid([cfg], db_to_linear(-2.0))[:, 0]
+        eps = prefix_error_grid(cfg, [cfg.taus], db_to_linear(-2.0))[:, 0]
         assert len(eps) == 3
         assert all(b <= a for a, b in zip(eps, eps[1:]))
+
+
+class TestChannelContract:
+    @pytest.mark.parametrize(
+        "channel", ["abc", 1j, [1.0, 2.0], True, np.bool_(True), None],
+        ids=["str", "complex", "list", "bool", "numpy-bool", "none"],
+    )
+    def test_channel_is_a_model_or_a_real_snr(self, channel):
+        with pytest.raises(DomainError, match="channel"):
+            outcomes_awgn(make_ir(100, 70, [1.0, 0.5]), channel)
+
+    def test_integer_and_numpy_snrs_are_real(self):
+        cfg = make_ir(100, 70, [1.0, 0.5])
+        assert outcomes_awgn(cfg, 2) == outcomes_awgn(cfg, np.float64(2.0)) == outcomes_awgn(cfg, 2.0)
+
+
+def scalar_telescope(A):
+    """The telescoping rule written out for one candidate."""
+    p = [1.0 - A[0]]
+    defect = 0.0
+    for i in range(1, len(A)):
+        d = A[i - 1] - A[i]
+        if d < 0.0:
+            defect += -d
+            d = 0.0
+        p.append(d)
+    p[0] = max(0.0, p[0] - defect)
+    return p, A[-1]
+
+
+class TestTelescope:
+    def test_negative_steps_match_the_scalar_rule(self):
+        up = lambda x, n=1: x if n == 0 else up(np.nextafter(x, 2.0), n - 1)  # noqa: E731
+        columns = [
+            (0.3, 0.1, 0.05),  # nonincreasing: nothing to floor
+            (0.9, up(0.9), 0.1),  # one step up by an ulp
+            (0.1, up(0.1), up(0.1, 3)),  # two steps up, so the defect sums
+            (1.0, up(1.0), 1.0),  # p_0 = 0 minus the defect: floored at zero
+            (0.5, 0.5, 0.5),  # zero steps
+        ]
+        p, p_e = telescope(np.array(columns).T)
+        for j, A in enumerate(columns):
+            want_p, want_e = scalar_telescope(A)
+            assert p[:, j].tolist() == want_p and p_e[j] == want_e, A
+        assert p[0, 1] < 1.0 - 0.9 and p[1, 1] == 0.0  # the defect moved into p_0
+        assert p[0, 3] == 0.0
+
+    def test_one_round(self):
+        p, p_e = telescope(np.array([[0.25, 1.0]]))
+        assert p.tolist() == [[0.75, 0.0]] and p_e.tolist() == [0.25, 1.0]
+
+    @pytest.mark.parametrize("A", [[[0.1], [-0.5]], [[1.5], [0.2]], [[math.nan], [0.1]]], ids=["p_e", "p_1", "nan"])
+    def test_probabilities_out_of_range_rejected(self, A):
+        with pytest.raises(DomainError, match="out of range"):
+            telescope(np.array(A))
