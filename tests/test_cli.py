@@ -221,6 +221,18 @@ class TestCommands:
         assert main(["delay", "--config", str(fine), "--out", str(tmp_path)]) == EXIT_RESOURCE
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [("simulate", "preset = sim_fig4a\npackets = 10000000000000\n"),
+         ("fsmc", "preset = fsmc_l13\ntrials = 10000000000000\n")],
+    )
+    def test_huge_trace_is_a_resource_error(self, tmp_path, capsys, command, text):
+        # used to end in a numpy allocation traceback asking for 73-146 TiB
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_RESOURCE
+        assert "exceeds the limit" in capsys.readouterr().err
+
     def test_delay_csv_uses_twelve_significant_digits(self, tmp_path):
         assert main(["delay", "--preset", "fig3", "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "fig3_delay.csv").read_text().splitlines()

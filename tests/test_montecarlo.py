@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -23,6 +24,25 @@ from harqfbl import (
     validate_fsmc,
 )
 from harqfbl.fading import FadingOutcomeQuery
+from harqfbl.montecarlo import _TRACE_BLOCK, _TRACE_CHUNK, _TRACE_MAX
+
+B = _TRACE_BLOCK
+EDGE_LENGTHS = (1, B - 1, B, B + 1, 3 * B + 5)
+
+
+def exact_oscillator_sum(f_d, t_tb, seed, n_oscillators, index):
+    """Sample `index` of the trace summed oscillator by oscillator in 120-bit
+    arithmetic, from the same draws: alpha, then phi, from default_rng(seed).
+    Returns the sample and the largest phase |omega_k*t + phi_k| at it."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.0, 2.0 * math.pi, n_oscillators)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_oscillators)
+    omega = 2.0 * math.pi * f_d * np.cos(alpha)
+    with mp.workprec(120):
+        t = index * mp.mpf(t_tb)
+        phases = [mp.mpf(float(w)) * t + mp.mpf(float(p)) for w, p in zip(omega, phi)]
+        total = mp.fsum(mp.expj(x) for x in phases) / mp.sqrt(n_oscillators)
+        return complex(total), float(max(abs(x) for x in phases))
 
 
 class TestGenerateTrace:
@@ -90,8 +110,39 @@ class TestGenerateTrace:
             generate_trace(f_d, t_tb, 5000, 0)
 
     def test_zero_doppler_is_a_static_channel(self):
-        trace = generate_trace(0.0, 1e-4, 100, 3)
-        assert np.all(trace.samples == trace.samples[0])
+        # across block starts, a one-block last chunk and the matrix
+        # product's tiles, which must not change the rounding of a sum of
+        # identical phasors
+        for length in (100, *EDGE_LENGTHS, _TRACE_CHUNK * B + 1, 300_000):
+            for n_oscillators in (1, 3, 64, 257):
+                s = generate_trace(0.0, 1e-4, length, 3, n_oscillators).samples
+                assert len(s) == length
+                assert np.all(s == s[0]), (length, n_oscillators)
+
+    @pytest.mark.parametrize(
+        "length, n_oscillators", [(n, 64) for n in (*EDGE_LENGTHS, 1_000_000)] + [(3 * B + 5, 5)]
+    )
+    def test_matches_exact_oscillator_sum(self, length, n_oscillators):
+        # f_d*t_tb = 0.0338, the paper's slow regime; the phase reaches 2e5 rad at 1e6
+        f_d, t_tb, seed = 241.4, 1.4e-4, 19
+        s = generate_trace(f_d, t_tb, length, seed, n_oscillators).samples
+        assert s.flags.c_contiguous
+        for i in sorted({i for i in (0, B - 1, B, B + 1, length - 1) if i < length}):
+            exact, max_phase = exact_oscillator_sum(f_d, t_tb, seed, n_oscillators, i)
+            assert abs(s[i] - exact) <= 4.0 * 2.0**-52 * max_phase, i
+
+    def test_length_over_the_limit_raises_before_allocating(self):
+        with pytest.raises(ResourceLimitError):
+            generate_trace(100.0, 1e-4, _TRACE_MAX + 1, 0)
+        with pytest.raises(ResourceLimitError):
+            generate_trace(100.0, 1e-4, 10**13, 0)
+
+    def test_overflowing_phase_raises(self):
+        # 2*pi*f_d*t_tb*9 is inf; the samples used to come back NaN
+        with pytest.raises(DomainError):
+            generate_trace(1e300, 1e10, 10, 0)
+        with pytest.raises(DomainError):
+            generate_trace(1.7e308, 1e-4, 2, 0)
 
 
 class TestSimulateAwgn:

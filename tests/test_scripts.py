@@ -20,3 +20,23 @@ def test_quantization_gap_prints_three_columns(capsys):
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:6]}
     assert set(rows) == {"p_0", "p_1", "p_e", "throughput"}
     assert all(len(v) == 3 and all(0.0 <= x <= 1.0 for x in v) for v in rows.values())
+
+
+def test_bench_pairs_counts_wins_and_flags_regressions():
+    bench = load_script("bench_pairs")
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "rate", "better": "higher", "bound": 0.1}]
+
+    def runs(walls, rates):
+        return [{"wall_s": w, "rate": r, "attempted": 16, "failed": 0} for w, r in zip(walls, rates)]
+
+    parent = runs([7.0, 6.5, 1.0, 6.9], [10.0, 10.0, 10.0, 10.0])
+    change = runs([1.3, 1.2, 1.5, 1.4], [8.0, 8.5, 8.2, 8.4])
+    cmp = bench.versus(parent, change, metrics)
+    assert cmp["wall_s"]["change_wins_of_4_pairs"] == 3
+    assert cmp["wall_s"]["resolved"] and not cmp["wall_s"]["regression"]
+    assert cmp["rate"]["change_wins_of_4_pairs"] == 0
+    assert cmp["rate"]["regression"]
+    assert cmp["change_failed_share"] == 0.0
+    s = bench.summary([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (s["median"], s["q1"], s["q3"]) == (3.0, 1.5, 4.5)
