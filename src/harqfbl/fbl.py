@@ -164,7 +164,7 @@ def _eps(cap, k: int, numerator, d, denom) -> np.ndarray:
     # Q(numerator / denom) by math.erfc per element (no scipy); zero dispersion d decides on cap > k
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.asarray(numerator / denom) / _SQRT2
-    q = np.fromiter(map(math.erfc, x.ravel()), float, x.size).reshape(x.shape)
+    q = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return np.where(d == 0.0, (cap <= k).astype(float), np.minimum(np.maximum(0.5 * q, 0.0), 1.0))
 
 

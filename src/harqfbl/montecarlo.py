@@ -20,7 +20,8 @@ running combined-decoder error probability.  This realises exactly the
 nested failure events of the analytic model (fail with j rounds implies
 fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
-error by orders of magnitude.
+error by orders of magnitude.  The kernel runs only where a decision needs
+it: round j only after a failed round j - 1, at trace offsets packets reach.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ _BLOCK = 1 << 14  # packets or trace offsets per kernel step
 _TRACE_BLOCK = 512  # trace samples per block; each block starts from exact phasors
 _TRACE_CHUNK = 256  # phasor blocks per matmul
 _TRACE_MAX = 1 << 27  # trace samples: 2 GiB of complex128
+_PACKETS_MAX = 1 << 24  # packets per simulation; a fixed-SNR run of this many peaks near 0.7 GiB
 
 
 def _check_seed(seed: int) -> None:
@@ -161,39 +163,38 @@ def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int)
     )
 
 
-def _first_success(eps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The resolution rule: a packet (column) resolves at the first round j with u >= eps[j], else m."""
-    ok = u >= eps
-    return np.where(ok.any(axis=0), ok.argmax(axis=0), len(eps))
+def _first_success(stepper, u: np.ndarray, snr_of, m: int) -> np.ndarray:
+    """The resolution rule: packet i resolves at the first round j with u[i] >= eps_j, else at m.
 
-
-def _resolve(cfg: HarqConfig, kernel: KernelOptions, snrs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """_first_success of packets with round-j SNRs snrs[j], _BLOCK packets per kernel step."""
-    step, start = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
-    resolved = np.empty(len(u), dtype=np.min_scalar_type(cfg.m + 1))
+    Round j is stepped (stepper is round_stepper's (step, start)) at the SNRs
+    snr_of(j, idx) only of the packets idx of a _BLOCK that failed round j - 1.
+    """
+    step, start = stepper
+    resolved = np.full(len(u), m, dtype=np.min_scalar_type(m + 1))
     for lo in range(0, len(u), _BLOCK):
-        carry, eps = start, []
-        for j, row in enumerate(snrs[:, lo:lo + _BLOCK]):
-            carry, e = step(carry, j, row)
-            eps.append(e)
-        resolved[lo:lo + _BLOCK] = _first_success(np.array(eps), u[lo:lo + _BLOCK])
+        idx, carry = np.arange(lo, min(lo + _BLOCK, len(u))), start
+        for j in range(m):
+            carry, eps = step(carry, j, snr_of(j, idx))
+            ok = u[idx] >= eps
+            resolved[idx[ok]] = j
+            idx, carry = idx[~ok], tuple(c[~ok] for c in carry)
+            if not len(idx):
+                break
     return resolved
 
 
-def _chain_starts(advance: np.ndarray, packets: int, samples: int) -> np.ndarray:
-    """Starts s_0 = 0, s_(i+1) = s_i + advance[s_i] of back-to-back packets, by
-    pointer doubling: jump maps an offset to the start 2^i packets on, and
-    offsets past the trace's last full packet map to the sentinel len(advance)."""
+def _chain_starts(advance: np.ndarray, packets: int) -> tuple[np.ndarray, int]:
+    """Starts s_0 = 0, s_(i+1) = s_i + advance[s_i] of back-to-back packets and how
+    many lie in advance, by pointer doubling: jump maps an offset to the start 2^i
+    packets on, and offsets past advance map to the sentinel len(advance)."""
     n = len(advance)
-    jump = np.minimum(np.arange(n + 1) + np.append(advance, 0), n)
+    jump = np.arange(n + 1)  # built in place: one offset-length array, not four
+    jump[:-1] += advance
+    np.minimum(jump, n, out=jump)
     starts = np.zeros(1, dtype=jump.dtype)
     while len(starts) < packets:
         starts, jump = np.concatenate((starts, jump[starts])), jump[jump]
-    done = int(np.count_nonzero(starts[:packets] < n))
-    if done < packets:
-        raise ResourceLimitError(
-            f"trace of {samples} samples exhausted after {done} packets; generate a longer trace")
-    return starts[:packets]
+    return starts[:packets], int(np.count_nonzero(starts[:packets] < n))
 
 
 def simulate_harq(
@@ -220,11 +221,14 @@ def simulate_harq(
     check_length("packets", packets)
     if packets < 1_000:
         raise DomainError(f"need at least 1e3 packets, got {packets}")
+    if packets > _PACKETS_MAX:
+        raise ResourceLimitError(f"packet count {packets} exceeds the limit of {_PACKETS_MAX} packets")
     _check_seed(seed)
     if packet_start not in ("continuous", "iid"):
         raise DomainError(f"unknown packet_start mode {packet_start!r}")
     m = cfg.m
     rng = np.random.default_rng(seed)
+    stepper = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
 
     if isinstance(channel, FsmcModel):
         snrs = np.asarray(channel.state_snrs)
@@ -236,23 +240,34 @@ def simulate_harq(
             # clip guards the one-ulp shortfall of a row sum below 1.0
             states.append(np.minimum((rng.random(packets)[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1))
         u = rng.random(packets)  # drawn after the paths
-        return _result_from_resolution(cfg, _resolve(cfg, kernel, snrs[np.array(states)], u), packets)
+        return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: snrs[states[j][i]], m), packets)
     if not isinstance(channel, TraceChannel):
-        eps = prefix_error_grid(cfg, [cfg.taus], channel, kernel)
-        return _result_from_resolution(cfg, _first_success(eps, rng.random(packets)), packets)
+        # the one-state chain's eps_j, passed through as the "SNR" of round j
+        eps = prefix_error_grid(cfg, [cfg.taus], channel, kernel)[:, 0]
+        resolved = _first_success((lambda carry, j, e: (carry, e), ()), rng.random(packets), lambda j, i: eps[j], m)
+        return _result_from_resolution(cfg, resolved, packets)
 
     check_snr(channel.avg_snr)
     gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
-    if len(gains) <= m:
+    n = len(gains) - m + 1  # offsets at which a whole packet fits
+    if n <= 1:
         raise ResourceLimitError(
             f"trace of {len(gains)} samples exhausted after 0 packets; generate a longer trace")
-    # windows[j, t] is round j's SNR of a packet that starts at offset t
-    windows = np.lib.stride_tricks.sliding_window_view(gains, m).T
     if packet_start == "iid":
-        u, starts = rng.random(packets), rng.integers(0, len(gains) - m, size=packets)  # in this order
-        return _result_from_resolution(cfg, _resolve(cfg, kernel, windows[:, starts], u), packets)
-    resolved = _resolve(cfg, kernel, windows, rng.random(windows.shape[1]))
-    starts = _chain_starts(np.minimum(resolved + 1, m), packets, len(gains))
+        u, starts = rng.random(packets), rng.integers(0, n - 1, size=packets)  # in this order
+        return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: gains[starts[i] + j], m), packets)
+    # every packet takes 1 to m offsets: resolve the first `packets`, then at
+    # most (packets - done) * m more; uniforms are drawn range by range, the
+    # same stream as one draw of them all
+    resolved, lo, hi = np.empty(0, dtype=np.uint8), 0, min(packets, n)
+    while lo < hi:
+        more = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains[lo + i + j], m)
+        resolved = np.concatenate((resolved, more))
+        starts, done = _chain_starts(np.minimum(resolved + 1, m), packets)
+        lo, hi = hi, min(n, hi + (packets - done) * m)
+    if done < packets:
+        raise ResourceLimitError(
+            f"trace of {len(gains)} samples exhausted after {done} packets; generate a longer trace")
     return _result_from_resolution(cfg, resolved[starts], packets)
 
 

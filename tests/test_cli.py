@@ -19,7 +19,7 @@ from harqfbl import (
     single_packet_delay,
     stream_delay,
 )
-from harqfbl import cli
+from harqfbl import cli, fbl, montecarlo
 from harqfbl.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRUCTION,
@@ -84,6 +84,10 @@ PINNED = [
     ("optimize", "table1b_slow", "json", "8513d2841cb644bc0071d7ca3effb4a7ee1b007522b5263444f1cb3c37969930"),
     ("optimize", "table1b_fast", "csv", "b8a9589abc8e37a929265f07240a70cdf45933ffe23d40bacc15a6388880b4f6"),
     ("optimize", "table1b_fast", "json", "63f257b029a86be1b4472806d35cffae60fa9bcef9fe9de7ad4e1c4b48a5893c"),
+    ("fsmc", "fsmc_l13", "json", "2176b74e19d1aa5bbe20dc1d79822186fd720fe7967e0baf03b642fb254058df"),
+    ("fsmc", "fsmc_l4", "json", "99ab9516d16cf92d3d5389557ea116f274d6415c6bc6297679908c36eba033b3"),
+    ("simulate", "sim_cc_awgn", "json", "118c1679ff12a2a7b8848a8687b685a29d0ddfb5e1a18561b59e1c1d8e6798b1"),
+    ("simulate", "sim_fig4a", "json", "122bbeb12bc46bc82980cd64f34e0e0ba819675ca6a99d3286c6e23d9e348327"),
 ]
 
 
@@ -232,6 +236,30 @@ class TestCommands:
         cfg.write_text(text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_RESOURCE
         assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_fixed_snr_packet_count_is_bounded(self, tmp_path, capsys):
+        # used to end in a numpy allocation traceback asking for 72.8 TiB
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"preset = sim_cc_awgn\npackets = {montecarlo._PACKETS_MAX + 1}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "exceeds the limit" in err and "Traceback" not in err
+
+    def test_sim_fig4a_evaluates_the_kernel_only_where_packets_reach(self, tmp_path, monkeypatch, capsys):
+        # 1e6 packets on a 2e6-offset trace, about 97 % decoded in round 1:
+        # the dense rule evaluated both rounds at every offset, 4,000,052 values
+        evals = []
+        eps = fbl._eps
+
+        def counted(*args):
+            out = eps(*args)
+            evals.append(out.size)
+            return out
+
+        monkeypatch.setattr(fbl, "_eps", counted)
+        assert main(["simulate", "--preset", "sim_fig4a", "--out", str(tmp_path)]) == EXIT_OK
+        assert sum(evals) <= 1_100_000
+        capsys.readouterr()
 
     def test_delay_csv_uses_twelve_significant_digits(self, tmp_path):
         assert main(["delay", "--preset", "fig3", "--out", str(tmp_path)]) == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -9,6 +10,7 @@ from scipy.special import j0
 from harqfbl import (
     CodeParams,
     DomainError,
+    FsmcModel,
     HarqConfig,
     ResourceLimitError,
     Scheme,
@@ -23,8 +25,10 @@ from harqfbl import (
     throughput,
     validate_fsmc,
 )
+from harqfbl import fbl, montecarlo
 from harqfbl.fading import FadingOutcomeQuery
-from harqfbl.montecarlo import _TRACE_BLOCK, _TRACE_CHUNK, _TRACE_MAX
+from harqfbl.fbl import round_stepper
+from harqfbl.montecarlo import _BLOCK, _PACKETS_MAX, _TRACE_BLOCK, _TRACE_CHUNK, _TRACE_MAX, _result_from_resolution
 
 B = _TRACE_BLOCK
 EDGE_LENGTHS = (1, B - 1, B, B + 1, 3 * B + 5)
@@ -259,6 +263,167 @@ class TestSimulateFading:
         trace = generate_trace(model.f_d, model.t_tb, cfg.m, 23)
         with pytest.raises(ResourceLimitError, match="longer trace"):
             simulate_harq(cfg, TraceChannel(trace, model.avg_snr), 1000, 3, packet_start=packet_start)
+
+
+def dense_resolution(cfg, snrs, u):
+    """Every round of every packet through the kernel, then the first round j with u >= eps_j, else m."""
+    step, carry = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme)
+    eps = []
+    for j in range(cfg.m):
+        carry, e = step(carry, j, snrs[j])
+        eps.append(e)
+    ok = u >= np.array(eps)
+    return np.where(ok.any(axis=0), ok.argmax(axis=0), cfg.m)
+
+
+def dense_chain(cfg, channel, packets, seed):
+    """Continuous mode by the dense rule: every offset of the trace resolved,
+    then the packets walked one by one.  Returns (resolution, starts)."""
+    m = cfg.m
+    gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
+    n = len(gains) - m + 1
+    every = dense_resolution(cfg, [gains[j:j + n] for j in range(m)], np.random.default_rng(seed).random(n))
+    starts = [0]
+    while len(starts) < packets and starts[-1] + min(every[starts[-1]] + 1, m) < n:
+        starts.append(starts[-1] + min(every[starts[-1]] + 1, m))
+    return every, starts
+
+
+def dense_simulate(cfg, channel, packets, seed, packet_start="continuous"):
+    """simulate_harq by the dense rule, from the same draws in the same order;
+    an exhausted trace returns the message simulate_harq raises."""
+    m, rng = cfg.m, np.random.default_rng(seed)
+    if isinstance(channel, TraceChannel) and packet_start == "continuous":
+        every, starts = dense_chain(cfg, channel, packets, seed)
+        if len(starts) < packets:
+            return f"trace of {len(channel.trace)} samples exhausted after {len(starts)} packets; generate a longer trace"
+        return _result_from_resolution(cfg, every[starts], packets)
+    if isinstance(channel, TraceChannel):
+        gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
+        u, starts = rng.random(packets), rng.integers(0, len(gains) - m, size=packets)
+        return _result_from_resolution(cfg, dense_resolution(cfg, [gains[starts + j] for j in range(m)], u), packets)
+    if isinstance(channel, FsmcModel):
+        L, q = channel.n_states, np.asarray(channel.q)
+        states = [rng.choice(L, size=packets, p=q / q.sum())]
+        cum_rows = np.cumsum(np.asarray(channel.transitions), axis=1)
+        for _ in range(m - 1):
+            states.append(np.minimum((rng.random(packets)[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1))
+        snrs = np.asarray(channel.state_snrs)[np.array(states)]
+    else:
+        snrs = np.full((m, packets), float(channel))
+    return _result_from_resolution(cfg, dense_resolution(cfg, snrs, rng.random(packets)), packets)
+
+
+def simulated(cfg, channel, packets, seed, packet_start="continuous"):
+    """simulate_harq's result, or the message of the ResourceLimitError it raises."""
+    try:
+        return simulate_harq(cfg, channel, packets, seed, packet_start=packet_start)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+SURVIVOR_CFGS = [
+    HarqConfig(CodeParams(100, 70), Scheme.IR, 1, (1.0,)),
+    HarqConfig(CodeParams(100, 70), Scheme.IR, 2, (1.0, 0.6)),
+    HarqConfig(CodeParams(100, 80), Scheme.IR, 3, (1.0, 0.5, 0.3)),
+    HarqConfig(CodeParams(100, 70), Scheme.CC, 1, (1.0,)),
+    HarqConfig(CodeParams(100, 70), Scheme.CC, 2, (1.0, 1.0)),
+    HarqConfig(CodeParams(100, 90), Scheme.CC, 3, (1.0, 1.0, 1.0)),
+]
+SURVIVOR_IDS = [f"{c.scheme.value}-m{c.m}" for c in SURVIVOR_CFGS]
+
+
+def counting_kernel(monkeypatch):
+    """Patch the kernel's Q-function map to record how many values it evaluates."""
+    evals = []
+    eps = fbl._eps
+
+    def counted(*args):
+        out = eps(*args)
+        evals.append(out.size)
+        return out
+
+    monkeypatch.setattr(fbl, "_eps", counted)
+    return evals
+
+
+class TestSurvivorRule:
+    """simulate_harq steps round j only on the packets that failed round j - 1,
+    and in continuous mode resolves only the trace offsets the packets reach;
+    it must decide every packet as the dense rule does, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    @pytest.mark.parametrize("kind", ["fixed", "model", "iid", "continuous"])
+    def test_matches_the_dense_rule(self, fading_setup, cfg, kind):
+        # one block, then more than one _BLOCK of packets
+        model = fading_setup[1]
+        for seed, packets in ((2, 3_000), (5, _BLOCK + 1_500)):
+            if kind in ("iid", "continuous"):
+                trace = generate_trace(model.f_d, model.t_tb, packets * cfg.m + cfg.m, seed)
+                channel, mode = TraceChannel(trace, db_to_linear(6.0)), kind
+            else:
+                channel, mode = (db_to_linear(-1.0) if kind == "fixed" else model), "continuous"
+            expected = dense_simulate(cfg, channel, packets, seed, mode)
+            assert simulate_harq(cfg, channel, packets, seed, packet_start=mode) == expected
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    def test_many_small_blocks(self, fading_setup, monkeypatch, cfg):
+        # 37-packet blocks: some resolve entirely in round 1, some do not
+        monkeypatch.setattr(montecarlo, "_BLOCK", 37)
+        model = fading_setup[1]
+        trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 2_000 * cfg.m + cfg.m, 4), model.avg_snr)
+        for channel, mode in ((model, "continuous"), (trace, "iid"), (trace, "continuous")):
+            assert simulate_harq(cfg, channel, 2_000, 4, packet_start=mode) == dense_simulate(cfg, channel, 2_000, 4, mode)
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    @pytest.mark.parametrize("snr", [0.0, math.inf])
+    def test_zero_and_infinite_snr(self, fading_setup, cfg, snr):
+        model = fading_setup[1]
+        trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 2_000 * cfg.m + cfg.m, 6), snr)
+        for channel, mode in ((snr, "continuous"), (trace, "iid"), (trace, "continuous")):
+            res = simulate_harq(cfg, channel, 2_000, 6, packet_start=mode)
+            assert res == dense_simulate(cfg, channel, 2_000, 6, mode)
+            assert res.outcome.p_e == (1.0 if snr == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("mode", ["iid", "continuous"])
+    def test_blocks_decoded_in_round_one_stop_there(self, fading_setup, monkeypatch, mode):
+        # at an infinite SNR every packet of every block decodes in round 1:
+        # one kernel value per packet, and no trace offset past the packets
+        cfg, model = SURVIVOR_CFGS[2], fading_setup[1]
+        trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 4 * _BLOCK, 8), math.inf)
+        evals = counting_kernel(monkeypatch)
+        assert simulate_harq(cfg, trace, 2 * _BLOCK + 3, 8, packet_start=mode).outcome.p[0] == 1.0
+        assert sum(evals) == 2 * _BLOCK + 3
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    def test_trace_prefix_extension_and_exhaustion(self, fading_setup, cfg):
+        # at 0 dB many packets take more than one offset, so the first
+        # `packets` offsets hold too few starts and one extension must
+        # suffice, down to the shortest trace that holds every packet; one
+        # sample less exhausts the trace with the dense rule's count
+        packets, model = 2_000, fading_setup[1]
+        full = generate_trace(model.f_d, model.t_tb, packets * cfg.m + cfg.m, 9)
+        last = dense_chain(cfg, TraceChannel(full, 1.0), packets, 9)[1][-1]
+        assert last >= packets or cfg.m == 1
+        for length in (len(full), last + cfg.m, last + cfg.m - 1, packets, cfg.m + 1):
+            channel = TraceChannel(replace(full, samples=full.samples[:length]), 1.0)
+            expected = dense_simulate(cfg, channel, packets, 9)
+            assert simulated(cfg, channel, packets, 9) == expected
+            assert isinstance(expected, str) == (length < last + cfg.m)
+
+    @pytest.mark.parametrize("packet_start", ["continuous", "iid"])
+    def test_packet_count_is_bounded_before_drawing(self, fading_setup, packet_start):
+        # limit + 1 packets are refused before any per-packet array exists
+        cfg, model, _ = fading_setup
+        trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 10, 0), model.avg_snr)
+        for channel in (model, 1.0, trace):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+                    simulate_harq(cfg, channel, _PACKETS_MAX + 1, 0, packet_start=packet_start)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
 
 
 class TestValidateFsmc:
