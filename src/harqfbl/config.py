@@ -41,6 +41,14 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
     return parse
 
 
+def _parse_budget(s: str) -> int:
+    # checked before the CLI sizes anything by m; 64 rounds is far beyond any HARQ budget in use
+    m = int(s)
+    if not 1 <= m <= 64:
+        raise ValueError(f"a transmission budget m must lie in 1..64, got {m}")
+    return m
+
+
 def _parse_tau_grid(s: str) -> Any:
     v = s.strip()
     if v in ("coarse", "fine"):
@@ -55,11 +63,11 @@ KEY_PARSERS: dict[str, Callable[[str], Any]] = {
     "out": str.strip,
     "format": _parse_choice("csv", "json"),
     "scheme": _parse_choice("CC", "IR"),
-    "schemes": lambda s: [x.strip() for x in s.split(",") if x.strip()],
+    "schemes": lambda s: [_parse_choice("CC", "IR")(x) for x in s.split(",") if x.strip()],
     "n": int,
     "k": int,
     "k_list": _parse_int_list,
-    "m": int,
+    "m": _parse_budget,
     "taus": _parse_float_list,
     "tau_grid": _parse_tau_grid,
     "channel": _parse_choice("awgn", "fading"),

@@ -308,7 +308,7 @@ def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> Fsm
     """
     if L < 2:
         raise ConstructionError(f"equal-duration partitioning needs L >= 2, got {L}")
-    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr)
+    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr, **{"f_d * t_tb": f_d * t_tb})
 
     def excess(target: float) -> float:  # increasing; unplaceable states count as excess
         etas = _interior_thresholds(L - 1, target)
@@ -336,7 +336,7 @@ def build_fixed_sojourn(L: int, c: float, f_d: float, t_tb: float, avg_snr: floa
         raise ConstructionError(f"fixed-sojourn partitioning needs L >= 2, got {L}")
     if not c >= 1.0:
         raise ConstructionError(f"c must be >= 1 so that t_tb fits inside a state, got {c}")
-    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr)
+    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr, **{"f_d * t_tb": f_d * t_tb})
     target = c * (f_d * t_tb)
     etas = _interior_thresholds(L - 1, target)
     if len(etas) < L:

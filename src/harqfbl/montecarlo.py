@@ -20,8 +20,8 @@ running combined-decoder error probability.  This realises exactly the
 nested failure events of the analytic model (fail with j rounds implies
 fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
-error by orders of magnitude.  The kernel runs only where a decision needs
-it: round j only after a failed round j - 1, at trace offsets packets reach.
+error by orders of magnitude.  Kernel and trace gains are evaluated only where
+a decision needs them: round j after a failed round j - 1, at offsets packets reach.
 """
 
 from __future__ import annotations
@@ -129,34 +129,25 @@ class SimResult:
     packets: int
 
 
-def _binomial_se(freq: np.ndarray, n: int) -> tuple[float, ...]:
-    return tuple(math.sqrt(f * (1.0 - f) / n) for f in freq)
-
-
 def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int) -> SimResult:
     m = cfg.m
-    counts = np.bincount(resolved, minlength=m + 1)
+    counts = np.array([np.count_nonzero(resolved == j) for j in range(m + 1)])
     freq = counts / packets
+    se = np.sqrt(freq * (1.0 - freq) / packets)  # binomial
     outcome = OutcomeDistribution(tuple(float(f) for f in freq[:m]), float(freq[m]))
 
-    slots = np.cumsum(cfg.taus)
-    cost = np.where(resolved == m, slots[-1], slots[np.minimum(resolved, m - 1)])
-    success = (resolved < m).astype(np.float64)
-    rate = cfg.code.rate
-    tp = rate * success.mean() / cost.mean()
-    # delta method on the ratio of means
-    n = packets
-    sx, sy = success.std(ddof=1), cost.std(ddof=1)
-    cxy = np.cov(success, cost, ddof=1)[0, 1]
-    xbar, ybar = success.mean(), cost.mean()
-    var = (tp / max(xbar, 1e-300)) ** 2 * sx ** 2 / n
-    var += (tp / ybar) ** 2 * sy ** 2 / n
-    var -= 2.0 * tp ** 2 / (max(xbar, 1e-300) * ybar) * cxy / n
-    tp_se = math.sqrt(max(var, 0.0))
+    # success x and slot cost y take one value per class of resolved, so the
+    # delta method on the ratio of their means is a sum over the m + 1 classes
+    slots, j = np.cumsum(cfg.taus), np.arange(m + 1)
+    x, y = (j < m).astype(np.float64), slots[np.minimum(j, m - 1)]
+    xbar, ybar = counts @ x / packets, counts @ y / packets
+    tp = cfg.code.rate * xbar / ybar
+    grad = tp / max(xbar, 1e-300) * (x - xbar) - tp / ybar * (y - ybar)
+    tp_se = math.sqrt(counts @ (grad * grad) / (packets - 1) / packets)
     return SimResult(
         outcome=outcome,
-        outcome_se=_binomial_se(freq[:m], packets),
-        p_e_se=math.sqrt(freq[m] * (1.0 - freq[m]) / packets),
+        outcome_se=tuple(se[:m].tolist()),
+        p_e_se=float(se[m]),
         throughput=float(tp),
         throughput_se=tp_se,
         packets=packets,
@@ -184,17 +175,24 @@ def _first_success(stepper, u: np.ndarray, snr_of, m: int) -> np.ndarray:
 
 
 def _chain_starts(advance: np.ndarray, packets: int) -> tuple[np.ndarray, int]:
-    """Starts s_0 = 0, s_(i+1) = s_i + advance[s_i] of back-to-back packets and how
-    many lie in advance, by pointer doubling: jump maps an offset to the start 2^i
-    packets on, and offsets past advance map to the sentinel len(advance)."""
+    """The first `packets` starts s_0 = 0, s_(i+1) = s_i + advance[s_i] that lie in
+    advance, and how many there are.  An offset with advance 1 hands the start to
+    the next, so only the jumping offsets J (advance >= 2) are chained, by pointer
+    doubling over their orbit; the offsets their jumps skip are marked with +1/-1
+    and one cumulative sum."""
     n = len(advance)
-    jump = np.arange(n + 1)  # built in place: one offset-length array, not four
-    jump[:-1] += advance
-    np.minimum(jump, n, out=jump)
-    starts = np.zeros(1, dtype=jump.dtype)
-    while len(starts) < packets:
-        starts, jump = np.concatenate((starts, jump[starts])), jump[jump]
-    return starts[:packets], int(np.count_nonzero(starts[:packets] < n))
+    J = np.flatnonzero(advance >= 2)
+    # the next jumping offset reached from each one; len(J) is the sentinel
+    nxt = np.append(np.searchsorted(J, J + advance[J]), len(J))
+    orbit = np.zeros(1, dtype=nxt.dtype)
+    while orbit[-1] != len(J):
+        orbit, nxt = np.concatenate((orbit, nxt[orbit])), nxt[nxt]
+    visited = J[orbit[orbit < len(J)]]
+    skipped = np.zeros(n + 1, dtype=np.int8)
+    skipped[visited + 1] = 1
+    skipped[np.minimum(visited + advance[visited], n)] -= 1
+    starts = np.flatnonzero(np.cumsum(skipped[:n], dtype=np.int8) == 0)[:packets]
+    return starts, len(starts)
 
 
 def simulate_harq(
@@ -234,11 +232,15 @@ def simulate_harq(
         snrs = np.asarray(channel.state_snrs)
         check_snr(snrs.min())  # NaN propagates, so it fails too
         L, q = channel.n_states, np.asarray(channel.q)
-        states = [rng.choice(L, size=packets, p=q / q.sum())]
+        states = [rng.choice(L, size=packets, p=q / q.sum()).astype(np.min_scalar_type(L - 1))]
         cum_rows = np.cumsum(np.asarray(channel.transitions), axis=1)
         for _ in range(m - 1):
-            # clip guards the one-ulp shortfall of a row sum below 1.0
-            states.append(np.minimum((rng.random(packets)[:, None] > cum_rows[states[-1]]).sum(axis=1), L - 1))
+            # row by row, the first state whose cumulative mass reaches u; clip guards a row sum below 1.0
+            prev, u, nxt = states[-1], rng.random(packets), np.empty_like(states[0])
+            for row in range(L):
+                sel = np.flatnonzero(prev == row)
+                nxt[sel] = np.minimum(np.searchsorted(cum_rows[row], u[sel], side="left"), L - 1)
+            states.append(nxt)
         u = rng.random(packets)  # drawn after the paths
         return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: snrs[states[j][i]], m), packets)
     if not isinstance(channel, TraceChannel):
@@ -248,26 +250,30 @@ def simulate_harq(
         return _result_from_resolution(cfg, resolved, packets)
 
     check_snr(channel.avg_snr)
-    gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
-    n = len(gains) - m + 1  # offsets at which a whole packet fits
+    samples = channel.trace.samples
+    n = len(samples) - m + 1  # offsets at which a whole packet fits
     if n <= 1:
         raise ResourceLimitError(
-            f"trace of {len(gains)} samples exhausted after 0 packets; generate a longer trace")
+            f"trace of {len(samples)} samples exhausted after 0 packets; generate a longer trace")
+
+    def gains(at):  # linear SNRs of the samples a decision reads, and of no other
+        return channel.avg_snr * np.abs(samples[at]) ** 2
+
     if packet_start == "iid":
-        u, starts = rng.random(packets), rng.integers(0, n - 1, size=packets)  # in this order
-        return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: gains[starts[i] + j], m), packets)
+        u, starts = rng.random(packets), rng.integers(0, n, size=packets)  # in this order
+        return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: gains(starts[i] + j), m), packets)
     # every packet takes 1 to m offsets: resolve the first `packets`, then at
     # most (packets - done) * m more; uniforms are drawn range by range, the
     # same stream as one draw of them all
     resolved, lo, hi = np.empty(0, dtype=np.uint8), 0, min(packets, n)
     while lo < hi:
-        more = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains[lo + i + j], m)
+        more = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains(lo + i + j), m)
         resolved = np.concatenate((resolved, more))
         starts, done = _chain_starts(np.minimum(resolved + 1, m), packets)
         lo, hi = hi, min(n, hi + (packets - done) * m)
     if done < packets:
         raise ResourceLimitError(
-            f"trace of {len(gains)} samples exhausted after {done} packets; generate a longer trace")
+            f"trace of {len(samples)} samples exhausted after {done} packets; generate a longer trace")
     return _result_from_resolution(cfg, resolved[starts], packets)
 
 

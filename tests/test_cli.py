@@ -74,20 +74,20 @@ PINNED = [
     ("per-curve", "fig4a", "csv", "3eb40a3912f35b254c7f96bd77a5514717b3b79d18ba0d363a09b3a946d1e49e"),
     ("per-curve", "fig4b", "csv", "5529bb60f7dddb8b2bc4ce53812237ad65e4081c1f2def3a51388bfd13a5493e"),
     ("per-surface", "fig5", "csv", "33e02eb271de4c44533fbe2feecce18a16a7ccbfb68672a2e939fbd39928347c"),
-    ("delay", "fig3", "csv", "03aee77a19cee03cb6167505a0da88a631922b61c5c1db3f31499ff87aedcf4d"),
-    ("delay", "fig3_tau09", "csv", "8fc07ba70b056e60eb783ef1e607fe577ac68d013c187b83a3a4ff320b970b8b"),
+    ("delay", "fig3", "csv", "ffa33f12ec88e7e60d5f555f421fc70d4d1bddfa1283b7c73c8600a86029608e"),
+    ("delay", "fig3_tau09", "csv", "1275259ef68cda0b79fec70c64753131b6f31649b0669bc9535cf98066affc14"),
     ("optimize", "table1a_slow", "csv", "feb48f9293ecee0e571cf7af779e309a3ede7b31bb65c6d3df285552c10bbdcc"),
-    ("optimize", "table1a_slow", "json", "89236655ea269580f24c70f4226a113b1e5f72982ea8890385e15574b64cfccf"),
+    ("optimize", "table1a_slow", "json", "9e8abfea26c743a062a6ab0b5e513cdf881504c8b2fa652c86b011a36f2285af"),
     ("optimize", "table1a_fast", "csv", "eeed1a5d9d5721ac231ba5030148a9e07b06f779a5128005f7edd72d1a2f1552"),
-    ("optimize", "table1a_fast", "json", "39c0e63ca76f0b1164931150c05ae9beede16fe4f1e98a8935497e0ee9fade17"),
+    ("optimize", "table1a_fast", "json", "6aa600efe34936e819c0d53c3aac89d609755476285d9201172cb87a17db75e5"),
     ("optimize", "table1b_slow", "csv", "79dc977d756bc99b60b75fe337a9ea95b4413c2d0a77617cb6ba2716fa42b7bc"),
-    ("optimize", "table1b_slow", "json", "8513d2841cb644bc0071d7ca3effb4a7ee1b007522b5263444f1cb3c37969930"),
+    ("optimize", "table1b_slow", "json", "486d7d9c0be2e97ebe324b673695737a4e768b3412edbad404c060794bc21a3d"),
     ("optimize", "table1b_fast", "csv", "b8a9589abc8e37a929265f07240a70cdf45933ffe23d40bacc15a6388880b4f6"),
-    ("optimize", "table1b_fast", "json", "63f257b029a86be1b4472806d35cffae60fa9bcef9fe9de7ad4e1c4b48a5893c"),
+    ("optimize", "table1b_fast", "json", "d639f3a3b4607c61c4d03817026def2bef983db879aa9afc7c76cf2bff9c1a4c"),
     ("fsmc", "fsmc_l13", "json", "2176b74e19d1aa5bbe20dc1d79822186fd720fe7967e0baf03b642fb254058df"),
     ("fsmc", "fsmc_l4", "json", "99ab9516d16cf92d3d5389557ea116f274d6415c6bc6297679908c36eba033b3"),
-    ("simulate", "sim_cc_awgn", "json", "118c1679ff12a2a7b8848a8687b685a29d0ddfb5e1a18561b59e1c1d8e6798b1"),
-    ("simulate", "sim_fig4a", "json", "122bbeb12bc46bc82980cd64f34e0e0ba819675ca6a99d3286c6e23d9e348327"),
+    ("simulate", "sim_cc_awgn", "json", "d660cf938615bfae0180f82ea359ad5467381595aaa93a2f7276a753b1b7b7a3"),
+    ("simulate", "sim_fig4a", "json", "85ae4114837585ddff0102806f411f2ebb32901a56ce3073292b73c3098a5486"),
 ]
 
 
@@ -352,6 +352,27 @@ class TestCommands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, lines, message",
+        [
+            # was an OverflowError while the candidate list was sized by m
+            ("per-curve", "preset = fig2a\nm = 100000000000000000000\n", "m must lie in 1..64"),
+            ("optimize", "preset = table1a_slow\nm = 100000000000000000000\n", "m must lie in 1..64"),
+            ("simulate", "preset = sim_cc_awgn\nm = 1000000000000\n", "m must lie in 1..64"),
+            # was a ValueError from Scheme("zzz")
+            ("delay", "preset = fig3\nschemes = zzz\n", "expected one of ('CC', 'IR'), got 'zzz'"),
+            # f_d * t_tb underflowed to 0: a ZeroDivisionError in build_equal_duration
+            ("fsmc", "preset = fsmc_l13\nf_d_hz = 1e-320\n", "f_d * t_tb must be positive"),
+        ],
+        ids=["per-curve-m", "optimize-m", "simulate-m", "delay-schemes", "fsmc-f_d"],
+    )
+    def test_former_tracebacks_are_config_errors(self, tmp_path, capsys, command, lines, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -20,6 +20,7 @@ from harqfbl import (
     per_ir,
     q_function,
 )
+from harqfbl import fbl
 
 mp.mp.dps = 40
 
@@ -63,6 +64,63 @@ class TestQFunction:
         # strict away from the regions where the double saturates
         if 1e-300 < b and a < 0.99:
             assert b < a
+
+
+class TestVectorisedErfc:
+    """fbl._erfc, the kernel's Q-function, against mpmath and math.erfc on [-27.3, 27.3]."""
+
+    ULPS = 7  # bound for every normal result, so for all >= 1e-300
+
+    @staticmethod
+    def arguments():
+        rng = np.random.default_rng(20)
+        return np.concatenate([
+            np.linspace(-27.3, 27.3, 3001),
+            rng.uniform(-27.3, 27.3, 2000),
+            rng.uniform(-0.05, 0.05, 500),  # erfc near 1, where the fit's error peaks
+            rng.uniform(26.2, 27.3, 1000),  # the clamp, the math.erfc band and the zero edge
+            [26.5, 27.2263641357421875, math.nextafter(27.2263641357421875, 0.0), 1e-300, -1e-300, 5e-324],
+        ])
+
+    def test_within_the_ulp_bound_of_mpmath(self):
+        x = self.arguments()
+        worst = 0.0
+        for xi, vi in zip(x.tolist(), fbl._erfc(x).tolist()):
+            exact = mp.erfc(mp.mpf(xi))
+            if exact >= 2.2250738585072014e-308:
+                worst = max(worst, float(abs(vi - exact)) / math.ulp(float(exact)))
+                assert vi == pytest.approx(math.erfc(xi), rel=2e-15)
+        assert worst <= self.ULPS
+
+    def test_subnormal_and_zero_results_equal_math_erfc(self):
+        x = self.arguments()
+        x = x[np.abs(x) > 26.5]
+        v = fbl._erfc(x)
+        tiny = [math.erfc(xi) for xi in x.tolist()]
+        assert sum(0.0 < t < 2.2250738585072014e-308 for t in tiny) > 50
+        assert sum(t == 0.0 for t in tiny) > 50
+        assert v.tolist() == tiny
+
+    def test_signed_zeros_infinities_and_nan(self):
+        v = fbl._erfc(np.array([0.0, -0.0, math.inf, -math.inf, math.nan]))
+        assert v[:4].tolist() == [1.0, 1.0, 0.0, 2.0]
+        assert math.isnan(v[4])
+
+    def test_negative_arguments_reflect_with_one_rounding(self):
+        # a second rounding, as in v + (x < 0) * (2 - 2v), moves some of these
+        x = np.abs(self.arguments())
+        assert np.array_equal(fbl._erfc(-x), 2.0 - fbl._erfc(x))
+
+    def test_each_value_independent_of_its_array(self):
+        # one form for every size and position: a value is the same alone,
+        # in a block, at an unaligned offset or in a 0-d array
+        x = self.arguments()
+        whole = fbl._erfc(x)
+        for i in range(0, len(x), 97):
+            assert fbl._erfc(x[i:i + 1])[0] == whole[i]
+            assert fbl._erfc(x[i]) == whole[i] and fbl._erfc(x[i]).shape == ()
+        assert np.array_equal(fbl._erfc(x[3:]), whole[3:])
+        assert fbl._erfc(x[:12].reshape(3, 4)).tolist() == whole[:12].reshape(3, 4).tolist()
 
 
 class TestChannelDispersion:

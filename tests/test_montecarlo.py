@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from harqfbl import (
@@ -28,7 +30,16 @@ from harqfbl import (
 from harqfbl import fbl, montecarlo
 from harqfbl.fading import FadingOutcomeQuery
 from harqfbl.fbl import round_stepper
-from harqfbl.montecarlo import _BLOCK, _PACKETS_MAX, _TRACE_BLOCK, _TRACE_CHUNK, _TRACE_MAX, _result_from_resolution
+from harqfbl.montecarlo import (
+    _BLOCK,
+    _PACKETS_MAX,
+    _TRACE_BLOCK,
+    _TRACE_CHUNK,
+    _TRACE_MAX,
+    FadingTrace,
+    _chain_starts,
+    _result_from_resolution,
+)
 
 B = _TRACE_BLOCK
 EDGE_LENGTHS = (1, B - 1, B, B + 1, 3 * B + 5)
@@ -300,7 +311,7 @@ def dense_simulate(cfg, channel, packets, seed, packet_start="continuous"):
         return _result_from_resolution(cfg, every[starts], packets)
     if isinstance(channel, TraceChannel):
         gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
-        u, starts = rng.random(packets), rng.integers(0, len(gains) - m, size=packets)
+        u, starts = rng.random(packets), rng.integers(0, len(gains) - m + 1, size=packets)
         return _result_from_resolution(cfg, dense_resolution(cfg, [gains[starts + j] for j in range(m)], u), packets)
     if isinstance(channel, FsmcModel):
         L, q = channel.n_states, np.asarray(channel.q)
@@ -424,6 +435,86 @@ class TestSurvivorRule:
                 assert tracemalloc.get_traced_memory()[1] < 1 << 20
             finally:
                 tracemalloc.stop()
+
+
+def walked_starts(advance, packets):
+    """The starts of back-to-back packets, one packet at a time."""
+    starts, s = [], 0
+    while s < len(advance) and len(starts) < packets:
+        starts.append(s)
+        s += int(advance[s])
+    return starts
+
+
+class TestChainStarts:
+    @given(st.integers(1, 3), st.integers(1, 300), st.floats(0.0, 1.0), st.integers(1, 700), st.integers(0, 2**32 - 1))
+    @example(m=2, n=50, rate=0.0, packets=60, seed=0)  # no jump: every offset is a start
+    @example(m=2, n=50, rate=1.0, packets=60, seed=0)  # every offset jumps
+    @example(m=3, n=1, rate=1.0, packets=5, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_plain_walk(self, m, n, rate, packets, seed):
+        # jump rates 0-100 %, and packet counts past the trace's end
+        rng = np.random.default_rng(seed)
+        advance = np.where(rng.random(n) < rate, rng.integers(2, m + 1, n) if m > 1 else 1, 1).astype(np.uint8)
+        starts, done = _chain_starts(advance, packets)
+        expected = walked_starts(advance, packets)
+        assert starts.tolist() == expected and done == len(expected)
+
+
+def moments_from_arrays(cfg, resolved, packets):
+    """The throughput and its standard error from the per-packet arrays,
+    the formula _result_from_resolution evaluates from class counts."""
+    m, slots = cfg.m, np.cumsum(cfg.taus)
+    cost = np.where(resolved == m, slots[-1], slots[np.minimum(resolved, m - 1)])
+    success = (resolved < m).astype(np.float64)
+    tp = cfg.code.rate * success.mean() / cost.mean()
+    sx, sy = success.std(ddof=1), cost.std(ddof=1)
+    cxy = np.cov(success, cost, ddof=1)[0, 1]
+    xbar, ybar = success.mean(), cost.mean()
+    var = (tp / max(xbar, 1e-300)) ** 2 * sx ** 2 / packets
+    var += (tp / ybar) ** 2 * sy ** 2 / packets
+    var -= 2.0 * tp ** 2 / (max(xbar, 1e-300) * ybar) * cxy / packets
+    return tp, math.sqrt(max(var, 0.0))
+
+
+class TestCountStatistics:
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    @pytest.mark.parametrize("shares", [(0.9, 0.05, 0.03, 0.02), (0.2, 0.3, 0.1, 0.4), (1.0, 0.0, 0.0, 0.0),
+                                        (0.0, 0.0, 0.0, 1.0), (0.999, 0.0, 0.0, 0.001)])
+    def test_match_the_array_formula(self, cfg, shares):
+        rng = np.random.default_rng(3)
+        p = np.array([*shares[:cfg.m], sum(shares[cfg.m:])])
+        resolved = rng.choice(cfg.m + 1, size=200_003, p=p / p.sum()).astype(np.uint8)
+        res = _result_from_resolution(cfg, resolved, len(resolved))
+        tp, tp_se = moments_from_arrays(cfg, resolved, len(resolved))
+        assert res.throughput == pytest.approx(tp, rel=1e-12, abs=0.0)
+        assert res.throughput_se == pytest.approx(tp_se, rel=1e-12, abs=1e-300)
+
+
+class TestChainReplicaAndIidStarts:
+    def test_chain_draw_is_linear_in_packets(self):
+        # the draw used to compare a (packets x L) matrix: 74.8 MiB here
+        model = build_equal_duration(64, 10.0, 1e-4, db_to_linear(10.0))
+        cfg = HarqConfig(CodeParams(100, 70), Scheme.IR, 3, (1.0, 0.5, 0.5))
+        tracemalloc.start()
+        try:
+            res = simulate_harq(cfg, model, 1 << 17, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert res.outcome.total == pytest.approx(1.0, abs=1e-12)
+
+    def test_iid_starts_reach_the_last_offset(self):
+        # 22 samples hold m = 2 packets at offsets 0..20; only offset 20 sees
+        # a nonzero gain (sample 21, its second round), so only its packets decode
+        samples = np.zeros(22, dtype=complex)
+        samples[21] = 1.0
+        trace = FadingTrace(samples, 100.0, 1e-4, 0, 1)
+        cfg = HarqConfig(CodeParams(100, 70), Scheme.IR, 2, (1.0, 1.0))
+        res = simulate_harq(cfg, TraceChannel(trace, 1e6), 21_000, 5, packet_start="iid")
+        assert res.outcome.p[0] == 0.0
+        assert abs(res.outcome.p[1] - 1 / 21) <= 5.0 * math.sqrt(20 / 21**2 / 21_000)
 
 
 class TestValidateFsmc:

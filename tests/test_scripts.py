@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from harqfbl import fbl
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -40,3 +42,13 @@ def test_bench_pairs_counts_wins_and_flags_regressions():
     assert cmp["change_failed_share"] == 0.0
     s = bench.summary([1.0, 2.0, 3.0, 4.0, 5.0])
     assert (s["median"], s["q1"], s["q3"]) == (3.0, 1.5, 4.5)
+
+
+def test_fit_erfc_reproduces_the_kernel_table(capsys):
+    # the coefficients hard-coded in fbl are the fit's output, bit for bit
+    fit = load_script("fit_erfc")
+    assert fit.fit() == fbl._ERFC_P
+    fit.main()
+    table: dict = {}
+    exec(capsys.readouterr().out, table)
+    assert table["_ERFC_P"] == fbl._ERFC_P
