@@ -6,10 +6,11 @@ Subcommands reproduce the bundled scenario presets as CSV/JSON artifacts:
     per-surface  PER and throughput over the (tau1, tau2) triangle (m = 3)
     delay        delay-overhead CCDF of an N-packet stream
     fsmc         build, validate and serialise a fading-state model
-    optimize     constrained tau1 sweep over a list of SNRs
+    optimize     constrained tau sweep over a list of SNRs (IR only)
     simulate     Monte Carlo run with analytic comparison
 
 Every artifact starts with a header recording the fully resolved config.
+A table names the retransmission coefficients taus[1:] tau1..tau{m-1}.
 Exit codes: 0 ok, 2 config error, 3 construction error, 4 resource error,
 5 validation failure.
 """
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -29,17 +31,8 @@ from .errors import ConfigError, ConstructionError, HarqFblError, ResourceLimitE
 from .fbl import CodeParams, KernelOptions, db_to_linear
 from .fsmc import FsmcModel, build_equal_duration, build_fixed_sojourn
 from .montecarlo import TraceChannel, generate_trace, simulate_harq, validate_fsmc
-from .optimize import (
-    COARSE_TAU_GRID,
-    FINE_TAU_GRID,
-    OptimizationProblem,
-    at_snr,
-    check_tau_grid,
-    outcome_grid,
-    reports_csv_lines,
-    reports_payload,
-    sweep,
-)
+from .optimize import (COARSE_TAU_GRID, FINE_TAU_GRID, OptimizationProblem, at_snr, check_tau_grid, outcome_grid,
+                       reports_payload, sweep, triangle_candidates)
 from .outcomes import HarqConfig, Scheme, outcome_on, throughput
 
 EXIT_OK = 0
@@ -48,12 +41,32 @@ EXIT_CONSTRUCTION = 3
 EXIT_RESOURCE = 4
 EXIT_VALIDATION = 5
 
+# (error class, stderr label, exit code): the first class an error is an instance of decides
+_ERRORS = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    (ConstructionError, "construction error", EXIT_CONSTRUCTION),
+    (ResourceLimitError, "resource error", EXIT_RESOURCE),
+    (ValidationFailure, "validation failure", EXIT_VALIDATION),
+    (HarqFblError, "error", EXIT_CONFIG),
+)
+
 
 def _kernel(cfg: dict[str, Any]) -> KernelOptions:
-    return KernelOptions(
-        dispersion_units=cfg.get("dispersion_units", "nats2"),
-        cc_denominator=cfg.get("cc_denominator", "sqrt_nv"),
-    )
+    """The kernel conventions the config sets, KernelOptions' defaults for the rest."""
+    return KernelOptions(**{f.name: cfg[f.name] for f in fields(KernelOptions) if f.name in cfg})
+
+
+def _ks(cfg: dict[str, Any]) -> list[int]:
+    """The code sizes of a table: k_list where the config has one, else k."""
+    if "k_list" in cfg:
+        return cfg["k_list"]
+    require(cfg, "k")
+    return [cfg["k"]]
+
+
+def _tau_columns(m: int) -> list[str]:
+    """The columns of taus[1:], the retransmission coefficients."""
+    return [f"tau{i}" for i in range(1, m)]
 
 
 def _tau_grid(cfg: dict[str, Any]) -> tuple[float, ...]:
@@ -101,38 +114,35 @@ def _out_path(cfg: dict[str, Any], command: str, ext: str) -> Path:
     return out_dir / f"{scenario}_{command}.{ext}"
 
 
-def _write_lines(path: Path, header: list[str], lines: list[str]) -> None:
-    path.write_text("\n".join(header + lines) + "\n")
+def _write_json(cfg: dict[str, Any], command: str, payload: dict[str, Any]) -> None:
+    path = _out_path(cfg, command, "json")
+    path.write_text(json.dumps({"config": {k: cfg[k] for k in sorted(cfg)}, **payload}, indent=2) + "\n")
+    print(path)
 
 
-def _write_json(path: Path, payload: dict[str, Any], cfg: dict[str, Any]) -> None:
-    payload = {"config": {k: cfg[k] for k in sorted(cfg)}, **payload}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_table(cfg: dict[str, Any], command: str, columns: list[str],
-                 rows: list[list[Any]]) -> Path:
-    """Emit a table as CSV (12 significant digits) or as JSON records."""
-    if cfg.get("format", "csv") == "json":
-        path = _out_path(cfg, command, "json")
-        records = [dict(zip(columns, row)) for row in rows]
-        _write_json(path, {"columns": columns, "rows": records}, cfg)
-        return path
+def _write_csv(cfg: dict[str, Any], command: str, columns: list[str], rows: list[list[Any]]) -> None:
+    """The config header, then the table with numbers to 12 significant digits."""
     path = _out_path(cfg, command, "csv")
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else f"{x:.12g}" for x in row))
-    _write_lines(path, config_header_lines(cfg), lines)
-    return path
+    lines = [",".join(x if isinstance(x, str) else f"{x:.12g}" for x in row) for row in [columns, *rows]]
+    path.write_text("\n".join(config_header_lines(cfg) + lines) + "\n")
+    print(path)
+
+
+def _write_table(cfg: dict[str, Any], command: str, columns: list[str], rows: list[list[Any]]) -> None:
+    """Emit a table as CSV or, with format = json, as JSON records."""
+    if cfg.get("format", "csv") == "json":
+        _write_json(cfg, command, {"columns": columns, "rows": [dict(zip(columns, row)) for row in rows]})
+    else:
+        _write_csv(cfg, command, columns, rows)
 
 
 def _log10(p: float) -> float:
     return math.log10(max(p, 1e-300))
 
 
-def _grid_table(cfg: dict[str, Any], command: str, ks: list[int], candidates: list[tuple[float, ...]],
-                tau_columns: list[str]) -> int:
+def _grid_table(cfg: dict[str, Any], command: str, candidates: list[tuple[float, ...]]) -> int:
     """PER and throughput of every candidate at every SNR and k, batched per (SNR, k)."""
+    ks = _ks(cfg)
     kernel = _kernel(cfg)
     channel = _channel(cfg, cfg["snr_db"][0])
     rows: list[list[Any]] = []
@@ -141,32 +151,24 @@ def _grid_table(cfg: dict[str, Any], command: str, ks: list[int], candidates: li
         for k in ks:
             per, tp = outcome_grid(_harq_config(cfg, k, candidates[0]), point, candidates, kernel)
             for taus, p_e, eta in zip(candidates, per.tolist(), tp.tolist()):
-                rows.append([snr_db, k, *taus[-len(tau_columns):], p_e, _log10(p_e), eta])
-    print(_write_table(cfg, command, ["snr_db", "k", *tau_columns, "per", "log10_per", "throughput"], rows))
+                rows.append([snr_db, k, *taus[1:], p_e, _log10(p_e), eta])
+    _write_table(cfg, command, ["snr_db", "k", *_tau_columns(cfg["m"]), "per", "log10_per", "throughput"], rows)
     return EXIT_OK
 
 
 def cmd_per_curve(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "m")
     grid = _tau_grid(cfg)
-    ks = cfg.get("k_list")
-    if ks is None:
-        require(cfg, "k")
-        ks = [cfg["k"]]
-    if cfg.get("scheme", "IR") == "CC":
-        candidates = [(1.0,) * cfg["m"]]
-    else:
-        candidates = [(1.0, *([t] * (cfg["m"] - 1))) for t in grid]
-    return _grid_table(cfg, "per_curve", ks, candidates, ["tau1"])
+    m = cfg["m"]
+    candidates = [(1.0,) * m] if cfg.get("scheme", "IR") == "CC" else [(1.0, *([t] * (m - 1))) for t in grid]
+    return _grid_table(cfg, "per_curve", candidates)
 
 
 def cmd_per_surface(cfg: dict[str, Any]) -> int:
-    require(cfg, "snr_db", "k")
+    require(cfg, "snr_db")
     if cfg.get("m") != 3:
         raise ConfigError("per-surface requires m = 3")
-    grid = _tau_grid(cfg)
-    candidates = [(1.0, t1, t2) for t1 in grid for t2 in grid if t2 <= t1]
-    return _grid_table(cfg, "per_surface", [cfg["k"]], candidates, ["tau1", "tau2"])
+    return _grid_table(cfg, "per_surface", triangle_candidates(_tau_grid(cfg)))
 
 
 def cmd_delay(cfg: dict[str, Any]) -> int:
@@ -174,21 +176,15 @@ def cmd_delay(cfg: dict[str, Any]) -> int:
     kernel = _kernel(cfg)
     n_packets = cfg.get("n_packets", 1000)
     channel = _channel(cfg, cfg["snr_db"][0])
-    schemes = cfg.get("schemes", [cfg.get("scheme", "IR")])
-    ks = cfg.get("k_list")
-    if ks is None:
-        require(cfg, "k")
-        ks = [cfg["k"]]
+    ks = _ks(cfg)
     rows: list[list[Any]] = []
-    for scheme in schemes:
+    for scheme in cfg.get("schemes", [cfg.get("scheme", "IR")]):
         for k in ks:
             harq = _harq_config(cfg, k=k, scheme=scheme)
-            outcome = outcome_on(harq, channel, kernel)
-            stream = stream_delay(single_packet_delay(harq, outcome), n_packets)
+            stream = stream_delay(single_packet_delay(harq, outcome_on(harq, channel, kernel)), n_packets)
             for x, tail in overhead_ccdf(stream, n_packets):
-                rows.append([scheme, str(k), harq.taus[-1], x, tail, stream.pruned_mass])
-    path = _write_table(cfg, "delay", ["scheme", "k", "tau1", "overhead", "ccdf", "pruned_mass"], rows)
-    print(path)
+                rows.append([scheme, str(k), *harq.taus[1:], x, tail, stream.pruned_mass])
+    _write_table(cfg, "delay", ["scheme", "k", *_tau_columns(cfg["m"]), "overhead", "ccdf", "pruned_mass"], rows)
     return EXIT_OK
 
 
@@ -216,35 +212,28 @@ def cmd_fsmc(cfg: dict[str, Any]) -> int:
             "p_flags": [list(r) for r in report.p_flags],
             "skip_mass": report.skip_mass,
         }
-        if cfg.get("strict") and any(report.q_flags):
-            _write_json(_out_path(cfg, "fsmc", "json"), payload, cfg)
-            raise ValidationFailure("empirical state occupancy deviates by more than 3 sigma")
-    path = _out_path(cfg, "fsmc", "json")
-    _write_json(path, payload, cfg)
-    print(path)
+    _write_json(cfg, "fsmc", payload)
+    if trials and cfg.get("strict") and any(payload["validation"]["q_flags"]):
+        raise ValidationFailure("empirical state occupancy deviates by more than 3 sigma")
     return EXIT_OK
 
 
 def cmd_optimize(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "k", "n", "m", "zeta0")
-    kernel = _kernel(cfg)
-    harq = _harq_config(cfg, taus=(1.0,) * cfg["m"], scheme="IR")
-    channel = _channel(cfg, cfg["snr_db"][0])
+    if cfg.get("scheme", "IR") != "IR":
+        raise ConfigError("optimize requires scheme = IR")
     problem = OptimizationProblem(
-        cfg_base=harq,
-        channel=channel,
+        cfg_base=_harq_config(cfg, taus=(1.0,) * cfg["m"]),
+        channel=_channel(cfg, cfg["snr_db"][0]),
         per_ceiling=cfg["zeta0"],
         tau_grid=_tau_grid(cfg),
         constraint=cfg.get("constraint", "ceiling"),
-        kernel=kernel,
+        kernel=_kernel(cfg),
     )
     reports = sweep(problem, cfg["snr_db"])
-    csv_path = _out_path(cfg, "optimize", "csv")
-    _write_lines(csv_path, config_header_lines(cfg), list(reports_csv_lines(reports)))
-    json_path = _out_path(cfg, "optimize", "json")
-    _write_json(json_path, {"reports": reports_payload(reports)}, cfg)
-    print(csv_path)
-    print(json_path)
+    rows = [[r.snr_db, *r.tau_hat[1:], r.achieved_per, r.achieved_throughput, str(r.feasible).lower()] for r in reports]
+    _write_csv(cfg, "optimize", ["snr_db", *_tau_columns(cfg["m"]), "per", "throughput", "feasible"], rows)
+    _write_json(cfg, "optimize", {"reports": reports_payload(reports)})
     return EXIT_OK
 
 
@@ -269,17 +258,13 @@ def cmd_simulate(cfg: dict[str, Any]) -> int:
         harq, sim_channel, cfg["packets"], seed, kernel, cfg.get("packet_start", "continuous")
     )
     analytic_tp = throughput(harq, analytic)
-    def se_floor(p_hyp: float) -> float:
-        # zero observed counts collapse the empirical SE; fall back to the
-        # binomial SE under the analytic hypothesis
-        return math.sqrt(max(p_hyp * (1.0 - p_hyp), 1e-300) / result.packets)
-
-    flags = []
-    for i in range(harq.m):
-        se = max(result.outcome_se[i], se_floor(analytic.p[i]))
-        flags.append(bool(abs(result.outcome.p[i] - analytic.p[i]) <= 3.0 * se))
-    se_e = max(result.p_e_se, se_floor(analytic.p_e))
-    flags.append(bool(abs(result.outcome.p_e - analytic.p_e) <= 3.0 * se_e))
+    # p_0..p_{m-1}, then p_e, each within 3 sigma; zero observed counts collapse
+    # the empirical SE, so it is floored by the binomial SE under the analytic p
+    flags = [
+        bool(abs(emp - p) <= 3.0 * max(se, math.sqrt(max(p * (1.0 - p), 1e-300) / result.packets)))
+        for emp, p, se in zip((*result.outcome.p, result.outcome.p_e), (*analytic.p, analytic.p_e),
+                              (*result.outcome_se, result.p_e_se))
+    ]
     payload = {
         "empirical": {
             "p": list(result.outcome.p),
@@ -300,9 +285,7 @@ def cmd_simulate(cfg: dict[str, Any]) -> int:
             abs(result.throughput - analytic_tp) <= 2.576 * max(result.throughput_se, 1e-300)
         ),
     }
-    path = _out_path(cfg, "simulate", "json")
-    _write_json(path, payload, cfg)
-    print(path)
+    _write_json(cfg, "simulate", payload)
     if cfg.get("strict") and not (all(flags) and payload["throughput_in_99ci"]):
         raise ValidationFailure("Monte Carlo run deviates from the analytic model beyond 3 sigma")
     return EXIT_OK
@@ -349,21 +332,10 @@ def main(argv: list[str] | None = None) -> int:
             overrides={"out": args.out, "seed": args.seed, "format": args.format},
         )
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConstructionError as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except ResourceLimitError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except HarqFblError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        label, code = next((label, code) for kind, label, code in _ERRORS if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -285,6 +285,11 @@ def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_
     lattice over the budget, a stream reaching 2**53 ticks, a lattice that
     stays too large, or a closed form that would evaluate more than 64
     count tuples per budgeted atom raises ResourceLimitError.
+
+    The total is the exact (sum of the masses)**n_packets, not renormalised:
+    float masses whose exact sum misses 1 by d drift by about n_packets * d.
+    The floats 0.8 and 0.2 sum to 1 + 5.55e-17, so stream_delay(DelayPmf((1,
+    Fraction(7, 5)), (0.8, 0.2)), 10**8).total - 1 is 5.55e-9.
     """
     check_length("packet count n_packets", n_packets)
     ticks = pmf.ticks

@@ -10,7 +10,7 @@ toward the shorter retransmission, which also means less queueing delay.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,6 +118,11 @@ def _report(problem: OptimizationProblem, candidates: Sequence[tuple[float, ...]
     return OptimizationReport(best.taus, best.per, best.throughput, best.feasible, frontier)
 
 
+def triangle_candidates(grid: Sequence[float]) -> list[tuple[float, float, float]]:
+    """The m = 3 candidates (1, t1, t2) with t2 <= t1 over the grid, t1 in the outer loop."""
+    return [(1.0, t1, t2) for t1 in grid for t2 in grid if t2 <= t1]
+
+
 def optimize_tau1(problem: OptimizationProblem) -> OptimizationReport:
     """Best single retransmission coefficient for an m = 2 configuration."""
     if problem.cfg_base.m != 2:
@@ -134,8 +139,7 @@ def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
     """
     if problem.cfg_base.m != 3:
         raise DomainError(f"optimize_tau12 needs m = 3, got m = {problem.cfg_base.m}")
-    candidates = [(1.0, t1, t2) for t1 in problem.tau_grid for t2 in problem.tau_grid if t2 <= t1]
-    return _report(problem, candidates, lambda taus: (-(taus[1] + taus[2]), -taus[1]))
+    return _report(problem, triangle_candidates(problem.tau_grid), lambda taus: (-(taus[1] + taus[2]), -taus[1]))
 
 
 def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[OptimizationReport]:
@@ -149,16 +153,6 @@ def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[Optimi
         replace(optimise(replace(problem, channel=at_snr(problem.channel, snr_db))), snr_db=snr_db)
         for snr_db in snrs_db
     ]
-
-
-def reports_csv_lines(reports: Sequence[OptimizationReport]) -> Iterable[str]:
-    yield "snr_db,tau1,per,throughput,feasible"
-    for r in reports:
-        snr = "" if r.snr_db is None else f"{r.snr_db:.12g}"
-        yield (
-            f"{snr},{r.tau_hat[1]:.12g},{r.achieved_per:.12g},"
-            f"{r.achieved_throughput:.12g},{str(r.feasible).lower()}"
-        )
 
 
 def reports_payload(reports: Sequence[OptimizationReport]) -> list[dict]:

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -29,6 +31,7 @@ from harqfbl.cli import (
     main,
 )
 from harqfbl.config import parse_config_text, resolve_config
+from harqfbl.presets import PRESETS
 
 
 class TestConfigParsing:
@@ -89,6 +92,32 @@ PINNED = [
     ("simulate", "sim_cc_awgn", "json", "d660cf938615bfae0180f82ea359ad5467381595aaa93a2f7276a753b1b7b7a3"),
     ("simulate", "sim_fig4a", "json", "85ae4114837585ddff0102806f411f2ebb32901a56ce3073292b73c3098a5486"),
 ]
+
+
+# sha256 of json.dumps(PRESETS, sort_keys=True): every key and value of every resolved preset
+PRESETS_SHA256 = "13350b0abf23468e331d4ba15b4e70e6fa01c30fa0cd3ce36d53246b3993e068"
+
+
+def body_rows(path: Path) -> list[list[str]]:
+    """A CSV artifact's column names and rows, without its '#' header."""
+    return [line.split(",") for line in path.read_text().splitlines() if line and not line.startswith("#")]
+
+
+class TestPresets:
+    def test_resolved_presets_are_pinned(self):
+        # the pinned artifacts skip the CSV '#' header, so only this covers keys no output reads
+        assert hashlib.sha256(json.dumps(PRESETS, sort_keys=True).encode()).hexdigest() == PRESETS_SHA256
+        assert all(cfg["scenario"] == name for name, cfg in PRESETS.items())
+
+    def test_bundled_runs_pins_and_presets_name_the_same_scenarios(self):
+        spec = importlib.util.spec_from_file_location(
+            "make_all_artifacts", Path(__file__).resolve().parents[1] / "scripts" / "make_all_artifacts.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        runs = script.RUNS
+        assert len(runs) == len(PRESETS) == 16
+        assert sorted(preset for _, preset in runs) == sorted(PRESETS)
+        assert {(command, preset) for command, preset, _, _ in PINNED} == set(runs)
 
 
 class TestCommands:
@@ -155,6 +184,45 @@ class TestCommands:
         assert len(payload["reports"]) == 7
         assert len(payload["reports"][0]["frontier"]) == 10
 
+    def test_optimize_csv_has_one_row_per_snr(self, tmp_path):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("preset = table1b_slow\nsnr_db = 12, 13\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        rows = body_rows(tmp_path / "table1b_slow_optimize.csv")
+        assert rows[0] == ["snr_db", "tau1", "per", "throughput", "feasible"]
+        assert [row[0] for row in rows[1:]] == ["12", "13"]
+
+    def test_optimize_csv_carries_every_tau_of_the_winner(self, tmp_path):
+        # an m = 3 row used to show tau1 only
+        cfg = tmp_path / "m3.cfg"
+        cfg.write_text("preset = table1a_slow\nm = 3\nsnr_db = 12\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "table1a_slow_optimize.json").read_text())["reports"][0]
+        assert report["tau_hat"] == [1.0, 0.4, 0.4]
+        rows = body_rows(tmp_path / "table1a_slow_optimize.csv")
+        assert rows[0] == ["snr_db", "tau1", "tau2", "per", "throughput", "feasible"]
+        assert rows[1][:3] == ["12", "0.4", "0.4"] and rows[1][3] == f"{report['per']:.12g}"
+
+    def test_optimize_needs_incremental_redundancy(self, tmp_path, capsys):
+        # used to optimise IR while the header recorded scheme = CC
+        cfg = tmp_path / "cc.cfg"
+        cfg.write_text("preset = table1b_slow\nscheme = CC\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "optimize requires scheme = IR" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_optimize.*"))
+
+    def test_delay_csv_names_every_tau(self, tmp_path):
+        # an m = 3 stream used to write taus[-1] under tau1
+        cfg = tmp_path / "m3.cfg"
+        cfg.write_text("preset = fig3\nm = 3\ntaus = 1,0.37,0.2\n")
+        assert main(["delay", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        rows = body_rows(tmp_path / "fig3_delay.csv")
+        assert rows[0] == ["scheme", "k", "tau1", "tau2", "overhead", "ccdf", "pruned_mass"]
+        assert {tuple(row[:4]) for row in rows[1:]} == {
+            (scheme, k, *taus) for scheme, taus in (("CC", ("1", "1")), ("IR", ("0.37", "0.2")))
+            for k in ("50", "70", "90")
+        }
+
     def test_simulate_awgn_flags_pass(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("preset = sim_cc_awgn\npackets = 20000\nstrict = true\n")
@@ -196,6 +264,16 @@ class TestCommands:
         assert v["samples"] == 50000
         assert len(v["q_emp"]) == 4
         assert 0.0 <= v["skip_mass"] < 0.05
+
+    def test_fsmc_strict_failure_writes_its_json_then_exits_5(self, tmp_path, monkeypatch, capsys):
+        validate = montecarlo.validate_fsmc
+        monkeypatch.setattr(cli, "validate_fsmc", lambda model, trace: dataclasses.replace(
+            validate(model, trace), q_flags=(True,) * model.n_states))
+        cfg = tmp_path / "fsmc.cfg"
+        cfg.write_text("preset = fsmc_l4\ntrials = 1000\nstrict = true\n")
+        assert main(["fsmc", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert json.loads((tmp_path / "fsmc_l4_fsmc.json").read_text())["validation"]["q_flags"] == [True] * 4
+        assert "validation failure: empirical state occupancy" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -17,7 +17,7 @@ from harqfbl import (
     sweep,
     throughput,
 )
-from harqfbl.optimize import FINE_TAU_GRID, outcome_grid, reports_csv_lines
+from harqfbl.optimize import FINE_TAU_GRID, outcome_grid
 
 
 def base_cfg(k, m=2, n=100):
@@ -209,14 +209,6 @@ class TestSweep:
         )
         assert all(r.feasible for r in k70)
         assert [r.tau_hat[1] for r in k70] == [0.5, 0.4, 0.3, 0.2, 0.2, 0.1, 0.1]
-
-    def test_csv_lines_shape(self):
-        problem = OptimizationProblem(base_cfg(70), slow_fading(11.0), per_ceiling=0.01)
-        reports = sweep(problem, [12.0, 13.0])
-        lines = list(reports_csv_lines(reports))
-        assert lines[0] == "snr_db,tau1,per,throughput,feasible"
-        assert len(lines) == 3
-        assert lines[1].startswith("12,")
 
 
 class TestInputContract:
