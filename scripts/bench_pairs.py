@@ -8,7 +8,7 @@ goes first alternates from pair to pair.  The last line of each run is kept.
 Each end-to-end metric of BENCHMARK.json is then summarised per side (median,
 quartiles from statistics.quantiles(n=4), spread (Q3 - Q1) / median) and per
 pair (in how many pairs the change beat the parent).  Three alternating
-tier-1 runs per side and one traced run of this checkout per --traced
+tier-1 runs per side and one traced run of each checkout per --traced
 workload follow.  The result goes to one JSON file, in the layout of
 BENCH_10.json.
 
@@ -171,16 +171,17 @@ def main(argv: list[str] | None = None) -> int:
     save()
 
     for workload in args.traced:
-        run_bench(change, workload, TRACED_SEED, args.seconds, 1)
-        rec = json.loads((change / "harqbench" / "out" / f"{workload}-seed{TRACED_SEED}-trace1.json").read_text())
-        record[f"traced_{workload}"] = {
-            "seed": TRACED_SEED,
-            "seconds": args.seconds,
-            "passes": len(rec["pass_wall_s"]),
-            "metrics": rec["metrics"],
-            "layer_self_s": rec["layer_self_s"],
-        }
-        save()
+        for prefix, checkout in (("", change), ("parent_", parent)):
+            run_bench(checkout, workload, TRACED_SEED, args.seconds, 1)
+            rec = json.loads((checkout / "harqbench" / "out" / f"{workload}-seed{TRACED_SEED}-trace1.json").read_text())
+            record[f"{prefix}traced_{workload}"] = {
+                "seed": TRACED_SEED,
+                "seconds": args.seconds,
+                "passes": len(rec["pass_wall_s"]),
+                "metrics": rec["metrics"],
+                "layer_self_s": rec["layer_self_s"],
+            }
+            save()
     return 0
 
 

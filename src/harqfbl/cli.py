@@ -160,7 +160,8 @@ def cmd_per_curve(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "m")
     grid = _tau_grid(cfg)
     m = cfg["m"]
-    candidates = [(1.0,) * m] if cfg.get("scheme", "IR") == "CC" else [(1.0, *([t] * (m - 1))) for t in grid]
+    one = cfg.get("scheme", "IR") == "CC" or m == 1  # chase combining and one round: one candidate, all ones
+    candidates = [(1.0,) * m] if one else [(1.0, *([t] * (m - 1))) for t in grid]
     return _grid_table(cfg, "per_curve", candidates)
 
 
@@ -222,6 +223,8 @@ def cmd_optimize(cfg: dict[str, Any]) -> int:
     require(cfg, "snr_db", "k", "n", "m", "zeta0")
     if cfg.get("scheme", "IR") != "IR":
         raise ConfigError("optimize requires scheme = IR")
+    if cfg["m"] not in (2, 3):
+        raise ConfigError("optimize requires m = 2 or 3")
     problem = OptimizationProblem(
         cfg_base=_harq_config(cfg, taus=(1.0,) * cfg["m"]),
         channel=_channel(cfg, cfg["snr_db"][0]),

@@ -224,7 +224,8 @@ def round_stepper(
     eps after depth + 1 rounds.  Returns (step, carry before any round).
     lengths ((m,) or (m, candidates, 1)), gamma and the carry (a tuple of
     arrays) broadcast, so eps holds one error per candidate x path, or per
-    packet.
+    packet.  depth indexes the first axis of lengths, so (depth, block)
+    also picks a block of candidates.
 
     Chase combining carries the SNR total and repeats the n-symbol codeword;
     incremental redundancy carries the accumulated capacity and dispersion

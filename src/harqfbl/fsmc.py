@@ -18,7 +18,9 @@ Two threshold constructions are provided:
 
   - build_equal_duration: solves the thresholds so every state (including
     the last) has exactly the same expected sojourn time; the packets-per-
-    state ratio c = sojourn / t_tb is an output.
+    state ratio c = sojourn / t_tb is an output.  The normalised sojourn
+    T(L) = f_d * sojourn and the thresholds depend on L alone, not on f_d,
+    t_tb or the SNR, so each L is solved once and memoised.
   - build_fixed_sojourn: takes c as an input, places thresholds left to
     right so each interior state's sojourn equals c * t_tb, and leaves the
     final state as the tail remainder (its sojourn is whatever is left).
@@ -37,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import ConstructionError, DomainError
@@ -299,17 +302,11 @@ def _assemble(
     return model
 
 
-def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> FsmcModel:
-    """Build the model whose L states all share one expected sojourn time.
-
-    The common normalised sojourn T solves a one-dimensional root problem:
-    for a candidate T the first L-1 thresholds follow left to right, and T
-    is adjusted until the tail state's sojourn equals T within 1e-9.
-    """
-    if L < 2:
-        raise ConstructionError(f"equal-duration partitioning needs L >= 2, got {L}")
-    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr, **{"f_d * t_tb": f_d * t_tb})
-
+@lru_cache(maxsize=64)
+def _equal_duration_partition(L: int) -> tuple[float, tuple[float, ...]]:
+    """T(L), the normalised sojourn of each of L equal-duration states, and their thresholds,
+    memoised for the 64 state counts used last.  For a candidate T the first L-1 thresholds
+    follow left to right, and T is adjusted until the tail state's sojourn equals T within 1e-9."""
     def excess(target: float) -> float:  # increasing; unplaceable states count as excess
         etas = _interior_thresholds(L - 1, target)
         return target - _sojourn_norm(etas[-1], math.inf) if len(etas) == L else 1.0
@@ -319,9 +316,17 @@ def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> Fsm
     etas = _interior_thresholds(L - 1, target)
     if len(etas) < L or abs(_sojourn_norm(etas[-1], math.inf) / target - 1.0) > 1e-9:
         raise ConstructionError(f"no partition of the envelope into L={L} equal-duration states")
-    etas.append(math.inf)
-    c = target / (f_d * t_tb)
-    return _assemble(etas, f_d, t_tb, avg_snr, c)
+    return target, (*etas, math.inf)
+
+
+def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> FsmcModel:
+    """Build the model whose L states all share one expected sojourn time, T(L) / f_d
+    (see _equal_duration_partition), so that c = T(L) / (f_d * t_tb)."""
+    if L < 2:
+        raise ConstructionError(f"equal-duration partitioning needs L >= 2, got {L}")
+    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr, **{"f_d * t_tb": f_d * t_tb})
+    target, etas = _equal_duration_partition(L)
+    return _assemble(etas, f_d, t_tb, avg_snr, target / (f_d * t_tb))
 
 
 def build_fixed_sojourn(L: int, c: float, f_d: float, t_tb: float, avg_snr: float) -> FsmcModel:

@@ -18,19 +18,20 @@ from .errors import DomainError
 from .fading import outcomes_fading  # noqa: F401  harqbench's traced-run test reads it from this module
 from .fbl import DEFAULT_KERNEL, KernelOptions, check_real, db_to_linear
 from .fsmc import FsmcModel
-from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, prefix_error_grid, telescope, throughput_grid
+from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, prefix_error_grid, tau_matrix, telescope, throughput_grid
 
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
 
 
 def outcome_grid(cfg_base: HarqConfig, channel: float | FsmcModel,
-                 candidates: Sequence[tuple[float, ...]],
+                 candidates: Sequence[tuple[float, ...]] | np.ndarray,
                  kernel: KernelOptions = DEFAULT_KERNEL,
                  path_budget: int = DEFAULT_PATH_BUDGET) -> tuple[np.ndarray, np.ndarray]:
-    """(PER, throughput) arrays of cfg_base with each candidate taus (checked as rows), in one batch."""
-    p, p_e = telescope(prefix_error_grid(cfg_base, candidates, channel, kernel, path_budget))
-    return p_e, throughput_grid(cfg_base, np.asarray(candidates, dtype=float), p, p_e)
+    """(PER, throughput) arrays of cfg_base with each candidate taus (rows, checked), in one batch."""
+    taus = tau_matrix(cfg_base.scheme, cfg_base.m, candidates)
+    p, p_e = telescope(prefix_error_grid(cfg_base, taus, channel, kernel, path_budget))
+    return p_e, throughput_grid(cfg_base, taus, p, p_e)
 
 
 def at_snr(channel: float | FsmcModel, snr_db: float) -> float | FsmcModel:
@@ -108,13 +109,13 @@ class OptimizationReport:
     snr_db: float | None = field(default=None, compare=False)
 
 
-def _report(problem: OptimizationProblem, candidates: Sequence[tuple[float, ...]],
-            tie_key) -> OptimizationReport:
-    per, tp = outcome_grid(problem.cfg_base, problem.channel, candidates, problem.kernel, problem.path_budget)
-    frontier = tuple(map(FrontierPoint, candidates, per.tolist(), tp.tolist(), problem.is_feasible(per).tolist()))
-    # the best feasible point, or failing that the best-effort minimum-PER one
-    pool = [p for p in frontier if p.feasible] or frontier
-    best = max(pool, key=lambda p: (p.throughput if p.feasible else -p.per, tie_key(p.taus)))
+def _report(problem: OptimizationProblem, channel: float | FsmcModel,
+            candidates: list[tuple[float, ...]], taus: np.ndarray, ties: tuple[np.ndarray, ...]) -> OptimizationReport:
+    per, tp = outcome_grid(problem.cfg_base, channel, taus, problem.kernel, problem.path_budget)
+    feasible = problem.is_feasible(per)
+    frontier = tuple(map(FrontierPoint, candidates, per.tolist(), tp.tolist(), feasible.tolist()))
+    # the feasible point of highest throughput, or failing that the one of lowest PER, then the tie keys
+    best = frontier[np.lexsort((*ties, np.where(feasible, -tp, per), ~feasible))[0]]
     return OptimizationReport(best.taus, best.per, best.throughput, best.feasible, frontier)
 
 
@@ -123,12 +124,20 @@ def triangle_candidates(grid: Sequence[float]) -> list[tuple[float, float, float
     return [(1.0, t1, t2) for t1 in grid for t2 in grid if t2 <= t1]
 
 
+def _candidates(problem: OptimizationProblem, name: str, *ms: int):
+    """The candidates of an m = 2 or m = 3 problem, their checked matrix and its tie keys,
+    most significant last: the smaller tau1 wins for m = 2, the smaller tau1 + tau2
+    and then the smaller tau1 for m = 3."""
+    if (m := problem.cfg_base.m) not in ms:
+        raise DomainError(f"{name} needs m = {' or '.join(map(str, ms))}, got m = {m}")
+    candidates = [(1.0, t) for t in problem.tau_grid] if m == 2 else triangle_candidates(problem.tau_grid)
+    taus = tau_matrix(problem.cfg_base.scheme, m, candidates)
+    return candidates, taus, (taus[:, 1],) if m == 2 else (taus[:, 1], taus[:, 1] + taus[:, 2])
+
+
 def optimize_tau1(problem: OptimizationProblem) -> OptimizationReport:
     """Best single retransmission coefficient for an m = 2 configuration."""
-    if problem.cfg_base.m != 2:
-        raise DomainError(f"optimize_tau1 needs m = 2, got m = {problem.cfg_base.m}")
-    candidates = [(1.0, t) for t in problem.tau_grid]
-    return _report(problem, candidates, lambda taus: -taus[1])
+    return _report(problem, problem.channel, *_candidates(problem, "optimize_tau1", 2))
 
 
 def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
@@ -137,22 +146,18 @@ def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
     Ties break lexicographically toward the smaller tau1 + tau2, then the
     smaller tau1.
     """
-    if problem.cfg_base.m != 3:
-        raise DomainError(f"optimize_tau12 needs m = 3, got m = {problem.cfg_base.m}")
-    return _report(problem, triangle_candidates(problem.tau_grid), lambda taus: (-(taus[1] + taus[2]), -taus[1]))
+    return _report(problem, problem.channel, *_candidates(problem, "optimize_tau12", 3))
 
 
 def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[OptimizationReport]:
-    """One optimisation per SNR; the fading partition is reused across SNRs."""
+    """One optimisation per SNR, of tau1 (m = 2) or (tau1, tau2) (m = 3); the
+    candidates, and the fading partition, are reused across SNRs."""
     if len(snrs_db) == 0:
         raise DomainError("SNR list must be nonempty")
     for snr_db in snrs_db:
         check_real("SNR in dB", snr_db)
-    optimise = optimize_tau1 if problem.cfg_base.m == 2 else optimize_tau12
-    return [
-        replace(optimise(replace(problem, channel=at_snr(problem.channel, snr_db))), snr_db=snr_db)
-        for snr_db in snrs_db
-    ]
+    grid = _candidates(problem, "sweep", 2, 3)
+    return [replace(_report(problem, at_snr(problem.channel, snr_db), *grid), snr_db=snr_db) for snr_db in snrs_db]
 
 
 def reports_payload(reports: Sequence[OptimizationReport]) -> list[dict]:

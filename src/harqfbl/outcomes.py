@@ -16,9 +16,10 @@ from the marginal q and each retransmission advances the chain one step:
 A fixed SNR is the one-state chain.  prefix_error_grid is the one place
 that computes A_1..A_m: it walks the state paths breadth-first over the
 nonzero transitions, and one fbl.round_stepper step advances all live
-paths of a depth for a (candidates x m) matrix of taus.  The worst-case
-node count sum_j L^j is checked against an enumeration budget first; the
-sampled counterpart, montecarlo.simulate_harq on a model, needs none.
+paths of a depth for a block of the distinct prefixes of the rows of a
+(candidates x m) matrix of taus.  The worst-case node count sum_j L^j is
+checked against an enumeration budget first; the sampled counterpart,
+montecarlo.simulate_harq on a model, needs none.
 telescope and throughput_grid turn A into (p, p_e) and throughput for all
 candidates at once; outcome_on and throughput are their one-candidate cases.
 """
@@ -59,7 +60,7 @@ def tau_matrix(scheme: Scheme, m: int, taus) -> np.ndarray:
         T = T.astype(float)
     if T.dtype.kind not in "biuf" or T.ndim != 2 or T.shape[1] != m or len(T) == 0:
         raise DomainError(f"expected a nonempty (candidates x {m}) array of coefficients, got {T.shape} {T.dtype}")
-    T = T.astype(float)
+    T = T.astype(float, copy=False)
     if np.any(T[:, 0] != 1.0):
         raise DomainError(f"tau_0 must be 1, got {T[T[:, 0] != 1.0, 0][0]}")
     outside = ~((0.0 < T) & (T <= 1.0))
@@ -129,15 +130,30 @@ def _check_budget(n_states: int, m: int, budget: int) -> None:
             )
 
 
+def _prefix_tree(lengths: np.ndarray, n: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Per depth, the parent of each distinct prefix of the rows of lengths (round lengths up to n) and
+    each row's prefix; and, depth after depth, a row with each prefix.  A prefix's id is an integer
+    key, its parent's id x (n + 1) + its last round length; one row needs no sort."""
+    if len(lengths) == 1:
+        return [(np.zeros(1, dtype=np.int64),) * 2] * lengths.shape[1], np.zeros(lengths.shape[1], dtype=np.int64)
+    ids, tree, firsts = np.zeros(len(lengths), dtype=np.int64), [], []
+    for column in lengths.T:
+        keys, first, ids = np.unique(ids * (n + 1) + column, return_index=True, return_inverse=True)
+        tree.append((keys // (n + 1), ids))
+        firsts.append(first)
+    return tree, np.concatenate(firsts)
+
+
 def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
                       kernel: KernelOptions = DEFAULT_KERNEL,
                       path_budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
     """A_1..A_m (rows) of cfg with each row of taus in place of cfg.taus (columns).
 
     taus is a (candidates x m) matrix (see tau_matrix); the channel is an
-    FsmcModel or a real linear SNR, which is the one-state chain.  Each
-    kernel step takes one depth's live paths for a block of at most
-    _BLOCK_ELEMENTS paths x candidates.
+    FsmcModel or a real linear SNR, which is the one-state chain.  A_j
+    depends only on the first j round lengths, so each depth steps each
+    distinct prefix of them (_prefix_tree) once, from its parent's carry,
+    for a block of at most _BLOCK_ELEMENTS live paths x prefixes at a time.
     """
     taus = tau_matrix(cfg.scheme, cfg.m, taus)
     if isinstance(channel, FsmcModel):
@@ -155,16 +171,24 @@ def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
         state, prob, _ = levels[-1]
         parent, nxt = np.nonzero(P[state] > 0.0)
         levels.append((nxt, prob[parent] * P[state[parent], nxt], parent))
-    lengths = round_lengths(taus, cfg.code.n).T[:, :, None]
-    width = max(1, _BLOCK_ELEMENTS // max(len(level[0]) for level in levels))
-    A = np.empty((cfg.m, len(taus)))
-    for lo in range(0, len(taus), width):
-        step, carry = round_stepper(cfg.code, lengths[:, lo:lo + width], cfg.scheme, kernel)
-        for depth, (state, prob, parent) in enumerate(levels):
-            if parent is not None:
-                carry = tuple(c[..., parent] for c in carry)
-            carry, eps = step(carry, depth, snrs[state])
-            A[depth, lo:lo + width] = (prob * eps).sum(axis=-1)
+    lengths = round_lengths(taus, cfg.code.n)
+    tree, rows = _prefix_tree(lengths, cfg.code.n)
+    # one stepper over the rows of every depth's prefixes; step's depth index (depth, block) picks a block
+    step, start = round_stepper(cfg.code, lengths[rows].T[:, :, None], cfg.scheme, kernel)
+    start = (np.zeros((1, 1)),) * len(start)  # so that every carry has a prefix axis
+    A, row = np.empty((cfg.m, len(taus))), 0
+    for depth, ((state, prob, parent), (up, ids)) in enumerate(zip(levels, tree)):
+        count, width = len(up), max(1, _BLOCK_ELEMENTS // len(state))
+        a, kept = np.empty(count), []
+        for lo in range(0, count, width):
+            hi = min(lo + width, count)
+            carry = start if parent is None else tuple(c[up[lo:hi, None], parent] for c in carried)
+            carry, eps = step(carry, (depth, slice(row + lo, row + hi)), snrs[state])
+            a[lo:hi] = (prob * eps).sum(axis=-1)
+            if depth < cfg.m - 1:  # only the next depth reads a carry
+                kept.append(carry)
+        carried = kept[0] if len(kept) == 1 else [np.concatenate(c) for c in zip(*kept)]  # prefixes x paths
+        A[depth], row = a[ids], row + count
     return A
 
 
@@ -177,8 +201,8 @@ def telescope(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     d = A[:-1] - A[1:]
     p0 = (1.0 - A[0]) - sum(np.where(d < 0.0, -d, 0.0))  # the defect, summed round by round
-    p = np.vstack([np.where(p0 > 0.0, p0, 0.0), np.where(d < 0.0, 0.0, d)])
-    _check_probabilities(np.vstack([p, A[-1]]))
+    p = np.concatenate((np.where(p0 > 0.0, p0, 0.0)[None], np.where(d < 0.0, 0.0, d)))
+    _check_probabilities(np.concatenate((p, A[-1:])))
     return p, A[-1]
 
 

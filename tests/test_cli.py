@@ -211,6 +211,25 @@ class TestCommands:
         assert "optimize requires scheme = IR" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_optimize.*"))
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_optimize_needs_two_or_three_transmissions(self, tmp_path, capsys, m):
+        # m = 4 used to report "optimize_tau12 needs m = 3", naming a library function
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"preset = table1b_slow\nm = {m}\n")
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: optimize requires m = 2 or 3\n"
+        assert not list(tmp_path.glob("*_optimize.*"))
+
+    @pytest.mark.parametrize("scheme", ["IR", "CC"])
+    def test_per_curve_single_transmission_has_one_row_per_snr(self, tmp_path, scheme):
+        # IR with m = 1 used to write the one candidate (1.0,) once per grid point, 100 rows per SNR
+        cfg = tmp_path / "m1.cfg"
+        cfg.write_text(f"preset = fig2a\nm = 1\nscheme = {scheme}\n")
+        assert main(["per-curve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        rows = body_rows(tmp_path / "fig2a_per_curve.csv")
+        assert rows[0] == ["snr_db", "k", "per", "log10_per", "throughput"]
+        assert [row[0] for row in rows[1:]] == ["-2", "-1", "0"]
+
     def test_delay_csv_names_every_tau(self, tmp_path):
         # an m = 3 stream used to write taus[-1] under tau1
         cfg = tmp_path / "m3.cfg"

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harqfbl import (
     CodeParams,
@@ -20,7 +23,7 @@ from harqfbl import (
     per_ir,
     simulate_harq,
 )
-from harqfbl.outcomes import _BLOCK_ELEMENTS, prefix_error_grid
+from harqfbl.outcomes import _BLOCK_ELEMENTS, _prefix_tree, prefix_error_grid, round_lengths
 from harqfbl.fbl import TransmissionRecord
 from harqfbl.optimize import FINE_TAU_GRID
 
@@ -214,6 +217,51 @@ class TestPrefixErrorGrid:
             if row not in singles:
                 singles[row] = prefix_error_grid(base, [row], model, kernel)[:, 0]
             assert np.array_equal(batch[:, i], singles[row]), row
+
+
+# 0.404 and 0.396 both round to 40 of n = 100 symbols; 0.005 and 0.013 to the floor of 1
+TAU_POOL = (0.396, 0.4, 0.404, 0.41, 0.6, 1.0, 0.005, 0.013)
+WALK_CHANNELS = {"fixed": db_to_linear(-1.0), "L13": fig4a_model(12.0)}
+
+
+class TestPrefixSharedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), scheme=st.sampled_from([Scheme.IR, Scheme.CC]),
+           channel=st.sampled_from(sorted(WALK_CHANNELS)), block=st.sampled_from([1, 7, _BLOCK_ELEMENTS]),
+           data=st.data())
+    def test_each_column_is_its_single_candidate(self, m, scheme, channel, block, data):
+        # duplicated, unsorted rows whose prefixes may merge only after rounding; at the
+        # real block size the L = 13 chain still splits a round's sibling prefixes across
+        # blocks (38 prefixes to a block in the third round, 13 in the fourth)
+        rows = data.draw(st.lists(st.tuples(*[st.sampled_from(TAU_POOL)] * (m - 1)), min_size=1, max_size=60))
+        taus = [(1.0, *row) if scheme is Scheme.IR else (1.0,) * m for row in rows]
+        base = HarqConfig(CodeParams(100, 70), scheme, m, (1.0,) * m)
+        with mock.patch("harqfbl.outcomes._BLOCK_ELEMENTS", block):
+            batch = prefix_error_grid(base, taus, WALK_CHANNELS[channel])
+        for i, row in enumerate(taus):
+            assert np.array_equal(batch[:, i], prefix_error_grid(base, [row], WALK_CHANNELS[channel])[:, 0]), row
+
+    @pytest.mark.parametrize("scheme", [Scheme.IR, Scheme.CC], ids=["IR", "CC"])
+    def test_block_boundary_inside_a_sibling_group(self, scheme):
+        # 60 third rounds under one two-round prefix, 38 to a block at the real block size
+        t2 = [round(0.01 * i, 2) for i in range(60, 0, -1)]
+        taus = [(1.0, 0.4, t) for t in t2] + [(1.0, 0.404, t2[7]), (1.0, 0.396, t2[50])]
+        if scheme is Scheme.CC:
+            taus = [(1.0, 1.0, 1.0)] * len(taus)
+        base = HarqConfig(CodeParams(100, 70), scheme, 3, (1.0, 1.0, 1.0))
+        model = WALK_CHANNELS["L13"]
+        batch = prefix_error_grid(base, taus, model)
+        for i, row in enumerate(taus):
+            assert np.array_equal(batch[:, i], prefix_error_grid(base, [row], model)[:, 0]), row
+
+    def test_rounding_merges_prefixes(self):
+        taus = np.array([(1.0, 0.404, 0.6), (1.0, 0.396, 0.41), (1.0, 0.404, 0.6), (1.0, 0.41, 0.6)])
+        tree, rows = _prefix_tree(round_lengths(taus, 100), 100)
+        # per depth, the parent of each distinct prefix and each row's prefix
+        assert [len(up) for up, _ in tree] == [1, 2, 3]
+        assert [ids.tolist() for _, ids in tree] == [[0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 1, 2]]
+        assert tree[2][0].tolist() == [0, 0, 1]
+        assert len(rows) == 6
 
 
 class TestMcCheck:

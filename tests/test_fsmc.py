@@ -20,6 +20,7 @@ from harqfbl import (
     marginal_probability,
     state_snr,
 )
+from harqfbl.fsmc import _equal_duration_partition
 
 mp.mp.dps = 40
 
@@ -303,6 +304,26 @@ class TestTargetC:
         # a time block longer than any achievable sojourn leaves nothing to scan
         with pytest.raises(ConstructionError, match="no state count"):
             from_target_c(3.0, 210.0, 0.05, 10.0, max_states=8)
+
+
+class TestEqualDurationMemo:
+    def test_memoised_models_equal_fresh_solves(self):
+        models = [from_target_c(3.0446, fdt / 1.4e-4, 1.4e-4, db_to_linear(12.0), 10) for fdt in (0.0338, 0.0855)]
+        _equal_duration_partition.cache_clear()
+        for model in models:
+            fresh = build_equal_duration(model.n_states, model.f_d, model.t_tb, model.avg_snr)
+            assert fresh.thresholds == model.thresholds
+            assert fresh == model
+
+    def test_memo_is_bounded(self):
+        from_target_c(3.0, 210.0, 0.00014, 10.0, 16)
+        info = _equal_duration_partition.cache_info()
+        assert info.maxsize == 64 and 0 < info.currsize <= info.maxsize
+
+    def test_normalised_sojourn_strictly_decreases_in_the_state_count(self):
+        # T(L) = f_d * sojourn of every state; an early stop of from_target_c's scan would rest on this
+        sojourns = [_equal_duration_partition(L)[0] for L in range(2, 21)]
+        assert all(a > b for a, b in zip(sojourns, sojourns[1:]))
 
 
 class TestSerialization:

@@ -1,6 +1,10 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harqfbl import (
     COARSE_TAU_GRID,
@@ -262,3 +266,47 @@ class TestFrontierEqualsSingleConfigs:
             cfg = problem.cfg_base.with_taus(point.taus)
             out = outcome_on(cfg, channel)
             assert (point.per, point.throughput, point.feasible) == (out.p_e, throughput(cfg, out), out.p_e <= 1e-3)
+
+
+def former_pick(frontier, m):
+    """The winner rule the optimiser used before the array pick: Python max over the pool."""
+    tie_key = (lambda taus: -taus[1]) if m == 2 else (lambda taus: (-(taus[1] + taus[2]), -taus[1]))
+    pool = [p for p in frontier if p.feasible] or frontier
+    return max(pool, key=lambda p: (p.throughput if p.feasible else -p.per, tie_key(p.taus)))
+
+
+class TestWinnerRule:
+    # two throughputs and four PERs, so that exact ties are common
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.sampled_from([2, 3]), constraint=st.sampled_from(["ceiling", "floor"]),
+           per_ceiling=st.sampled_from([1e-4, 0.01, 0.3, 1.0]),
+           grid=st.lists(st.sampled_from(COARSE_TAU_GRID), min_size=1, max_size=7, unique=True).map(sorted),
+           data=st.data())
+    def test_array_pick_is_the_former_max_rule(self, m, constraint, per_ceiling, grid, data):
+        problem = OptimizationProblem(base_cfg(70, m=m), 1.0, per_ceiling, tuple(grid), constraint)
+        count = len(grid) if m == 2 else len(grid) * (len(grid) + 1) // 2
+
+        def values(pool):
+            return np.array(data.draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count)))
+
+        per, tp = values([0.0, 1e-4, 0.01, 0.2]), values([0.5, 0.01])
+        with mock.patch("harqfbl.optimize.outcome_grid", return_value=(per, tp)):
+            report = (optimize_tau1 if m == 2 else optimize_tau12)(problem)
+        best = former_pick(report.frontier, m)
+        assert (report.tau_hat, report.achieved_per, report.achieved_throughput, report.feasible) == (
+            best.taus, best.per, best.throughput, best.feasible)
+
+    def test_a_tie_goes_to_the_smaller_sum_before_the_smaller_tau1(self):
+        problem = OptimizationProblem(base_cfg(70, m=3), 1.0, 0.3, (0.1, 0.3, 0.4))
+        # candidates (1, 0.1, 0.1), (1, 0.3, 0.1), (1, 0.3, 0.3), (1, 0.4, 0.1), (1, 0.4, 0.3), (1, 0.4, 0.4)
+        per, tp = np.zeros(6), np.array([0.01, 0.01, 0.5, 0.5, 0.01, 0.01])
+        with mock.patch("harqfbl.optimize.outcome_grid", return_value=(per, tp)):
+            assert optimize_tau12(problem).tau_hat == (1.0, 0.4, 0.1)
+
+    def test_all_infeasible_pool_takes_the_lowest_per(self):
+        problem = OptimizationProblem(base_cfg(70, m=3), 1.0, 1e-4, (0.2, 0.5))
+        per, tp = np.array([0.3, 0.1, 0.1]), np.array([0.5, 0.2, 0.6])
+        with mock.patch("harqfbl.optimize.outcome_grid", return_value=(per, tp)):
+            report = optimize_tau12(problem)
+        # (1, 0.5, 0.2) and (1, 0.5, 0.5) tie on PER; the smaller tau1 + tau2 wins
+        assert (report.tau_hat, report.feasible) == ((1.0, 0.5, 0.2), False)
