@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -304,6 +305,7 @@ COMMANDS = {
 }
 
 
+@cache  # one parser per process: parse_args leaves it as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harqfbl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

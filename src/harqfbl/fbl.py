@@ -161,8 +161,8 @@ class Scheme(str, Enum):
     IR = "IR"
 
 
-# P(2t - 1) of _erfc, highest degree first: scripts/fit_erfc.py prints this table
-_ERFC_P = (
+# P(2t - 1) of _erfc, highest degree first (scripts/fit_erfc.py prints it), as numpy scalars for the Horner steps
+_ERFC_P = tuple(map(np.float64, (
     -1.130955661615443e-09, 2.5782666473381826e-09, 8.062536517166145e-09, -3.1825841165506706e-08,
     6.545471077115539e-09, 1.3722213304960354e-07, -2.5342053371160755e-07, -1.4787196110283243e-07,
     1.2504517342643738e-06, -1.2893512603286491e-06, -2.9462952197215312e-06, 8.572132920083228e-06,
@@ -170,7 +170,7 @@ _ERFC_P = (
     -0.00017430315911979086, -9.373519926194742e-05, 0.0006736788326067894, -0.00014624684442738153,
     -0.002345812504354162, 0.0017589335565291499, 0.00882493855728234, -0.009872689366345834,
     -0.046895610231181085, 0.047343306841903826, 0.6726432239776567, -0.6717940840566923,
-)
+)))
 _ERFC_CLAMP = 26.5  # erfc(26.5) = 2.2e-307 is still normal, so no exp below sees a subnormal
 _ERFC_ZERO = 27.2263641357421875  # math.erfc is exactly 0 from here on
 _HORNER_BLOCK = 8192
@@ -181,8 +181,11 @@ def _erfc(x) -> np.ndarray:
     erfc(|x|) = t * exp(-x^2 + P(2t - 1)), t = 2 / (2 + |x|), P of degree 27
     (scripts/fit_erfc.py), x^2 split into an exact square and a small remainder.
     Within 7 ulp for every normal result (all >= 1e-300), math.erfc itself from
-    |x| = 26.5 on; negative x reflect to 2 - erfc(|x|), rounded once."""
+    |x| = 26.5 on; negative x reflect to 2 - erfc(|x|), rounded once.  The form runs
+    only where erfc is inexact: it is 0 from _ERFC_ZERO on, 2 from -6 down (erfc(6) < 2^-53)."""
     shape, x = np.shape(x), np.asarray(x, dtype=float).ravel()
+    live = (~((x <= -6.0) | (x >= _ERFC_ZERO))).nonzero()[0]  # written so that NaN stays live
+    out, x = (x < 0.0) * 2.0, x[live]  # out holds the exact tails
     a = np.abs(x)
     z = np.minimum(a, _ERFC_CLAMP)
     t = 2.0 / (z + 2.0)
@@ -195,13 +198,15 @@ def _erfc(x) -> np.ndarray:
             pb += c
     hi = (z.view(np.int64) & -(1 << 27)).view(np.float64)  # 26 mantissa bits: hi * hi is exact
     p -= (z - hi) * (z + hi)  # z^2 = hi^2 + (z - hi)(z + hi)
-    v = t * np.exp(-(hi * hi)) * np.exp(p) * (a < _ERFC_ZERO)
-    band = np.flatnonzero((a > _ERFC_CLAMP) & (a < _ERFC_ZERO))
-    v[band] = np.fromiter(map(math.erfc, a[band].tolist()), float, len(band))
+    v = t * np.exp(-(hi * hi)) * np.exp(p)
+    band = np.flatnonzero(a > _ERFC_CLAMP)
+    if len(band):
+        v[band] = np.fromiter(map(math.erfc, a[band].tolist()), float, len(band))
     s = np.copysign(1.0, x + 0.0)  # -1 where x < 0, else +1 (x + 0.0 turns -0.0 into +0.0)
     v *= s
     v -= s - 1.0  # 2 - v where x < 0, rounded once
-    return v.reshape(shape)
+    out[live] = v
+    return out.reshape(shape)
 
 
 def _eps(cap, k: int, numerator, d, denom) -> np.ndarray:

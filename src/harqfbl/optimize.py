@@ -9,8 +9,9 @@ toward the shorter retransmission, which also means less queueing delay.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import DomainError
 from .fading import outcomes_fading  # noqa: F401  harqbench's traced-run test reads it from this module
 from .fbl import DEFAULT_KERNEL, KernelOptions, check_real, db_to_linear
 from .fsmc import FsmcModel
-from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, prefix_error_grid, tau_matrix, telescope, throughput_grid
+from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, _chain, _walk, tau_matrix, telescope, throughput_grid
 
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
@@ -30,7 +31,7 @@ def outcome_grid(cfg_base: HarqConfig, channel: float | FsmcModel,
                  path_budget: int = DEFAULT_PATH_BUDGET) -> tuple[np.ndarray, np.ndarray]:
     """(PER, throughput) arrays of cfg_base with each candidate taus (rows, checked), in one batch."""
     taus = tau_matrix(cfg_base.scheme, cfg_base.m, candidates)
-    p, p_e = telescope(prefix_error_grid(cfg_base, taus, channel, kernel, path_budget))
+    p, p_e = telescope(_walk(cfg_base, taus, *_chain(channel), kernel, path_budget))
     return p_e, throughput_grid(cfg_base, taus, p, p_e)
 
 
@@ -53,8 +54,7 @@ def check_tau_grid(grid: Sequence[float]) -> None:
         last = t
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     taus: tuple[float, ...]
     per: float
     throughput: float
@@ -109,14 +109,14 @@ class OptimizationReport:
     snr_db: float | None = field(default=None, compare=False)
 
 
-def _report(problem: OptimizationProblem, channel: float | FsmcModel,
-            candidates: list[tuple[float, ...]], taus: np.ndarray, ties: tuple[np.ndarray, ...]) -> OptimizationReport:
-    per, tp = outcome_grid(problem.cfg_base, channel, taus, problem.kernel, problem.path_budget)
+def _report(problem: OptimizationProblem, candidates: list[tuple[float, ...]], ties: tuple[np.ndarray, ...],
+            per: np.ndarray, tp: np.ndarray, snr_db: float | None = None) -> OptimizationReport:
     feasible = problem.is_feasible(per)
-    frontier = tuple(map(FrontierPoint, candidates, per.tolist(), tp.tolist(), feasible.tolist()))
+    rows = zip(candidates, per.tolist(), tp.tolist(), feasible.tolist())
+    frontier = tuple(map(tuple.__new__, repeat(FrontierPoint), rows))  # FrontierPoint(*row) without its __new__
     # the feasible point of highest throughput, or failing that the one of lowest PER, then the tie keys
     best = frontier[np.lexsort((*ties, np.where(feasible, -tp, per), ~feasible))[0]]
-    return OptimizationReport(best.taus, best.per, best.throughput, best.feasible, frontier)
+    return OptimizationReport(*best, frontier, snr_db)
 
 
 def triangle_candidates(grid: Sequence[float]) -> list[tuple[float, float, float]]:
@@ -135,9 +135,15 @@ def _candidates(problem: OptimizationProblem, name: str, *ms: int):
     return candidates, taus, (taus[:, 1],) if m == 2 else (taus[:, 1], taus[:, 1] + taus[:, 2])
 
 
+def _optimize(problem: OptimizationProblem, name: str, m: int) -> OptimizationReport:
+    candidates, taus, ties = _candidates(problem, name, m)
+    per_tp = outcome_grid(problem.cfg_base, problem.channel, taus, problem.kernel, problem.path_budget)
+    return _report(problem, candidates, ties, *per_tp)
+
+
 def optimize_tau1(problem: OptimizationProblem) -> OptimizationReport:
     """Best single retransmission coefficient for an m = 2 configuration."""
-    return _report(problem, problem.channel, *_candidates(problem, "optimize_tau1", 2))
+    return _optimize(problem, "optimize_tau1", 2)
 
 
 def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
@@ -146,24 +152,29 @@ def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
     Ties break lexicographically toward the smaller tau1 + tau2, then the
     smaller tau1.
     """
-    return _report(problem, problem.channel, *_candidates(problem, "optimize_tau12", 3))
+    return _optimize(problem, "optimize_tau12", 3)
 
 
 def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[OptimizationReport]:
     """One optimisation per SNR, of tau1 (m = 2) or (tau1, tau2) (m = 3); the
-    candidates, and the fading partition, are reused across SNRs."""
+    candidates, the fading partition and one path walk serve every SNR."""
     if len(snrs_db) == 0:
         raise DomainError("SNR list must be nonempty")
     for snr_db in snrs_db:
         check_real("SNR in dB", snr_db)
-    grid = _candidates(problem, "sweep", 2, 3)
-    return [replace(_report(problem, at_snr(problem.channel, snr_db), *grid), snr_db=snr_db) for snr_db in snrs_db]
+    candidates, taus, ties = _candidates(problem, "sweep", 2, 3)
+    chains = [_chain(at_snr(problem.channel, snr_db)) for snr_db in snrs_db]
+    q, P, _ = chains[0]  # at_snr keeps a model's q and P
+    A = _walk(problem.cfg_base, taus, q, P, np.array([c[2] for c in chains]), problem.kernel, problem.path_budget)
+    # one SNR at a time, so that telescope's temporaries stay one frontier long
+    rates = ((per, throughput_grid(problem.cfg_base, taus, p, per)) for p, per in map(telescope, A.swapaxes(0, 1)))
+    return [_report(problem, candidates, ties, *r, snr_db) for r, snr_db in zip(rates, snrs_db)]
 
 
 def reports_payload(reports: Sequence[OptimizationReport]) -> list[dict]:
     """The reports as JSON-ready records, frontier included."""
     return [
         {"snr_db": r.snr_db, "tau_hat": list(r.tau_hat), "per": r.achieved_per, "throughput": r.achieved_throughput,
-         "feasible": r.feasible, "frontier": [asdict(p) for p in r.frontier]}
+         "feasible": r.feasible, "frontier": [p._asdict() for p in r.frontier]}
         for r in reports
     ]

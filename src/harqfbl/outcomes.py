@@ -144,24 +144,20 @@ def _prefix_tree(lengths: np.ndarray, n: int) -> tuple[list[tuple[np.ndarray, np
     return tree, np.concatenate(firsts)
 
 
-def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
-                      kernel: KernelOptions = DEFAULT_KERNEL,
-                      path_budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
-    """A_1..A_m (rows) of cfg with each row of taus in place of cfg.taus (columns).
-
-    taus is a (candidates x m) matrix (see tau_matrix); the channel is an
-    FsmcModel or a real linear SNR, which is the one-state chain.  A_j
-    depends only on the first j round lengths, so each depth steps each
-    distinct prefix of them (_prefix_tree) once, from its parent's carry,
-    for a block of at most _BLOCK_ELEMENTS live paths x prefixes at a time.
-    """
-    taus = tau_matrix(cfg.scheme, cfg.m, taus)
+def _chain(channel: float | FsmcModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, P, state SNRs) of an FsmcModel, or of a real linear SNR as the one-state chain."""
     if isinstance(channel, FsmcModel):
         chain = (channel.q, channel.transitions, channel.state_snrs)
     else:
         check_real("a channel that is not an FsmcModel", channel)
         chain = ((1.0,), ((1.0,),), (channel,))
-    q, P, snrs = (np.asarray(x, dtype=float) for x in chain)
+    return tuple(np.asarray(x, dtype=float) for x in chain)
+
+
+def _walk(cfg: HarqConfig, taus: np.ndarray, q, P, snrs, kernel: KernelOptions, path_budget: int) -> np.ndarray:
+    """A_1..A_m (m x candidates, or m x SNRs x candidates) of checked taus on the chain (q, P) with state
+    SNRs snrs (L, or SNRs x L); see prefix_error_grid.  One path list serves every SNR: a block's arrays
+    lead with the SNR axis, if any, and each SNR's paths are summed as in a one-SNR walk."""
     check_snr(snrs.min())  # NaN propagates, so it fails too
     _check_budget(len(q), cfg.m, path_budget)
     # live paths of each depth: last state, probability, index of the parent path
@@ -175,21 +171,36 @@ def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
     tree, rows = _prefix_tree(lengths, cfg.code.n)
     # one stepper over the rows of every depth's prefixes; step's depth index (depth, block) picks a block
     step, start = round_stepper(cfg.code, lengths[rows].T[:, :, None], cfg.scheme, kernel)
-    start = (np.zeros((1, 1)),) * len(start)  # so that every carry has a prefix axis
-    A, row = np.empty((cfg.m, len(taus))), 0
+    start = (np.zeros(snrs.shape[:-1] + (1, 1)),) * len(start)  # so that every carry has a prefix axis
+    A, row = np.empty((cfg.m, *snrs.shape[:-1], len(taus))), 0
     for depth, ((state, prob, parent), (up, ids)) in enumerate(zip(levels, tree)):
-        count, width = len(up), max(1, _BLOCK_ELEMENTS // len(state))
-        a, kept = np.empty(count), []
+        count, width = len(up), max(1, _BLOCK_ELEMENTS // (snrs[..., 0].size * len(state)))
+        a, kept, gamma = np.empty((*snrs.shape[:-1], count)), [], snrs[..., None, state]
         for lo in range(0, count, width):
             hi = min(lo + width, count)
-            carry = start if parent is None else tuple(c[up[lo:hi, None], parent] for c in carried)
-            carry, eps = step(carry, (depth, slice(row + lo, row + hi)), snrs[state])
-            a[lo:hi] = (prob * eps).sum(axis=-1)
+            carry = start if parent is None else tuple(c[..., up[lo:hi, None], parent] for c in carried)
+            carry, eps = step(carry, (depth, slice(row + lo, row + hi)), gamma)
+            a[..., lo:hi] = (prob * eps).sum(axis=-1)
             if depth < cfg.m - 1:  # only the next depth reads a carry
                 kept.append(carry)
-        carried = kept[0] if len(kept) == 1 else [np.concatenate(c) for c in zip(*kept)]  # prefixes x paths
-        A[depth], row = a[ids], row + count
-    return A
+        carried = kept[0] if len(kept) == 1 else [np.concatenate(c, axis=-2) for c in zip(*kept)]  # prefixes x paths
+        A[depth], row = a[..., ids], row + count
+    return np.minimum(A, 1.0, out=A)  # a probability: a sum above 1 is rounding
+
+
+def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
+                      kernel: KernelOptions = DEFAULT_KERNEL,
+                      path_budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
+    """A_1..A_m (rows) of cfg with each row of taus in place of cfg.taus (columns).
+
+    taus is a (candidates x m) matrix (see tau_matrix); the channel is an
+    FsmcModel or a real linear SNR, which is the one-state chain.  A_j
+    depends only on the first j round lengths, so each depth steps each
+    distinct prefix of them (_prefix_tree) once, from its parent's carry,
+    for a block of at most _BLOCK_ELEMENTS live paths x prefixes at a time.
+    A sum of path probabilities that rounds above 1 is clamped to 1.
+    """
+    return _walk(cfg, tau_matrix(cfg.scheme, cfg.m, taus), *_chain(channel), kernel, path_budget)
 
 
 def telescope(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +238,7 @@ def outcome_on(cfg: HarqConfig, channel: float | FsmcModel,
                kernel: KernelOptions = DEFAULT_KERNEL,
                path_budget: int = DEFAULT_PATH_BUDGET) -> OutcomeDistribution:
     """Resolution-event distribution of cfg on a linear SNR or on an FsmcModel."""
-    p, p_e = telescope(prefix_error_grid(cfg, [cfg.taus], channel, kernel, path_budget))
+    p, p_e = telescope(_walk(cfg, np.array([cfg.taus], dtype=float), *_chain(channel), kernel, path_budget))
     return OutcomeDistribution(tuple(p[:, 0].tolist()), float(p_e[0]))
 
 

@@ -120,6 +120,21 @@ class TestPresets:
         assert {(command, preset) for command, preset, _, _ in PINNED} == set(runs)
 
 
+class TestParser:
+    def test_one_parser_serves_independent_calls(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "fsmc", lambda cfg: seen.append(cfg) or EXIT_OK)
+        assert main(["fsmc", "--preset", "fsmc_l4", "--seed", "3", "--format", "json"]) == EXIT_OK
+        assert main(["fsmc", "--preset", "fsmc_l13"]) == EXIT_OK
+        assert (seen[0]["scenario"], seen[0]["seed"], seen[0]["format"]) == ("fsmc_l4", 3, "json")
+        assert seen[1]["scenario"] == "fsmc_l13" and "seed" not in seen[1] and "format" not in seen[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == EXIT_CONFIG
+        assert main(["fsmc", "--preset", "fsmc_l4"]) == EXIT_OK and "seed" not in seen[2]
+
+
 class TestCommands:
     def test_per_curve_fig2a_and_determinism(self, tmp_path, capsys):
         args = ["per-curve", "--preset", "fig2a", "--out", str(tmp_path)]

@@ -106,6 +106,24 @@ class TestVectorisedErfc:
         assert v[:4].tolist() == [1.0, 1.0, 0.0, 2.0]
         assert math.isnan(v[4])
 
+    def test_exact_tails_equal_math_erfc(self):
+        # 0 from _ERFC_ZERO up and 2 from -6 down are filled directly; just inside each cut the form runs
+        zero, two = fbl._ERFC_ZERO, -6.0
+        up = [zero, math.nextafter(zero, 30.0), 27.5, 40.0, 1e300, math.inf]
+        down = [two, math.nextafter(two, -7.0), -6.5, -27.3, -1e300, -math.inf]
+        assert fbl._erfc(np.array(up)).tolist() == [math.erfc(x) for x in up] == [0.0] * len(up)
+        assert not np.signbit(fbl._erfc(np.array(up))).any()
+        assert fbl._erfc(np.array(down)).tolist() == [math.erfc(x) for x in down] == [2.0] * len(down)
+        inside = [math.nextafter(zero, 0.0), math.nextafter(two, 0.0)]
+        assert fbl._erfc(np.array(inside)).tolist() == [math.erfc(x) for x in inside]
+        assert 0.0 < fbl._erfc(np.array(inside[0]))
+
+    def test_nan_propagates_among_exact_tails(self):
+        v = fbl._erfc(np.array([[math.nan, 40.0], [-8.0, math.nan]]))
+        assert v.shape == (2, 2) and np.isnan(v[[0, 1], [0, 1]]).all()
+        assert (v[0, 1], v[1, 0]) == (0.0, 2.0)
+        assert fbl._erfc(np.array([])).shape == (0,) and fbl._erfc(np.float64(-9.0)).shape == ()
+
     def test_negative_arguments_reflect_with_one_rounding(self):
         # a second rounding, as in v + (x < 0) * (2 - 2v), moves some of these
         x = np.abs(self.arguments())

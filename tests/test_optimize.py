@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -15,13 +17,15 @@ from harqfbl import (
     Scheme,
     build_fixed_sojourn,
     db_to_linear,
+    from_target_c,
     optimize_tau1,
     optimize_tau12,
     outcome_on,
     sweep,
     throughput,
 )
-from harqfbl.optimize import FINE_TAU_GRID, outcome_grid
+from harqfbl.optimize import FINE_TAU_GRID, FrontierPoint, at_snr, outcome_grid, reports_payload
+from harqfbl.outcomes import _BLOCK_ELEMENTS
 
 
 def base_cfg(k, m=2, n=100):
@@ -213,6 +217,60 @@ class TestSweep:
         )
         assert all(r.feasible for r in k70)
         assert [r.tau_hat[1] for r in k70] == [0.5, 0.4, 0.3, 0.2, 0.2, 0.1, 0.1]
+
+
+class TestSweepEqualsOneSnrOptimisation:
+    """sweep walks all its SNRs at once; each of its reports equals the one-SNR optimiser's, floats by ==."""
+
+    @pytest.mark.parametrize("block", [7, 64, _BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("snrs", [[12.0], [11.0, 13.5], [10.0, 11.0, 12.5, 13.0, 14.0]], ids=["1", "2", "5"])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("fading", [False, True], ids=["fixed", "fsmc"])
+    def test_each_report_is_the_one_snr_report(self, fading, m, snrs, block):
+        # blocks of 7 and 64 elements split a depth's prefixes into several blocks, each holding every SNR
+        channel, shift = (slow_fading(11.0), 0.0) if fading else (1.0, -13.0)
+        problem = OptimizationProblem(base_cfg(70, m=m), channel, 0.01)
+        optimize = optimize_tau1 if m == 2 else optimize_tau12
+        snrs = [s + shift for s in snrs]
+        with mock.patch("harqfbl.outcomes._BLOCK_ELEMENTS", block):
+            reports = sweep(problem, snrs)
+            singles = [optimize(dataclasses.replace(problem, channel=at_snr(channel, s))) for s in snrs]
+        assert len(reports) == len(snrs)
+        for report, single, snr_db in zip(reports, singles, snrs):
+            assert report.snr_db == snr_db
+            assert (report.tau_hat, report.achieved_per, report.achieved_throughput, report.feasible) == (
+                single.tau_hat, single.achieved_per, single.achieved_throughput, single.feasible)
+            assert report.frontier == single.frontier
+
+    def test_every_decode_failing_keeps_per_at_one(self):
+        # at -400 dB every round fails, and the path sum used to round to PER 1 + 2^-52
+        model = from_target_c(3.0446, 0.0338 / 1.4e-4, 1.4e-4, 10.0, 10)
+        report, = sweep(OptimizationProblem(base_cfg(70), model, 0.01, FINE_TAU_GRID), [-400.0])
+        assert not report.feasible and report.achieved_per == 1.0
+        assert all(p.per <= 1.0 and p.throughput >= 0.0 for p in report.frontier)
+
+
+class TestFrontierPoint:
+    def test_fields_attributes_and_immutability(self):
+        point = FrontierPoint((1.0, 0.5), 1e-3, 0.6, True)
+        assert FrontierPoint._fields == ("taus", "per", "throughput", "feasible")
+        assert (point.taus, point.per, point.throughput, point.feasible) == ((1.0, 0.5), 1e-3, 0.6, True)
+        assert point == ((1.0, 0.5), 1e-3, 0.6, True)  # a tuple of its fields
+        with pytest.raises(AttributeError):
+            point.per = 0.0
+
+    def test_optimiser_points_are_frontier_points(self):
+        report = optimize_tau12(OptimizationProblem(base_cfg(70, m=3), db_to_linear(-2.0), 0.01))
+        assert all(type(p) is FrontierPoint for p in report.frontier)
+        assert (report.tau_hat, report.achieved_per, report.achieved_throughput, report.feasible) in report.frontier
+
+    def test_reports_payload_keeps_its_keys_and_order(self):
+        report = optimize_tau1(OptimizationProblem(base_cfg(70), db_to_linear(-2.0), 0.01))
+        record, = reports_payload([report])
+        assert list(record) == ["snr_db", "tau_hat", "per", "throughput", "feasible", "frontier"]
+        point = report.frontier[3]
+        assert json.dumps(record["frontier"][3]) == json.dumps(
+            {"taus": list(point.taus), "per": point.per, "throughput": point.throughput, "feasible": point.feasible})
 
 
 class TestInputContract:

@@ -12,7 +12,9 @@ from harqfbl import (
     HarqConfig,
     OutcomeDistribution,
     Scheme,
+    build_equal_duration,
     db_to_linear,
+    outcome_on,
     outcomes_awgn,
     per_ir,
     throughput,
@@ -178,6 +180,17 @@ class TestPrefixErrors:
         eps = prefix_error_grid(cfg, [cfg.taus], db_to_linear(-2.0))[:, 0]
         assert len(eps) == 3
         assert all(b <= a for a, b in zip(eps, eps[1:]))
+
+
+    @pytest.mark.parametrize("cfg", [make_ir(100, 70, [1.0, 1.0]), make_cc(100, 70, 2), make_ir(100, 70, [1.0, 0.6])],
+                             ids=["IR", "CC", "IR-0.6"])
+    def test_a_chain_where_every_decode_fails_keeps_per_at_one(self, cfg):
+        # the path probabilities of this chain sum to 1 + 2^-52, which gave p_e above 1 and a negative throughput
+        model = build_equal_duration(7, 241.4, 1.4e-4, 1e-40)
+        A = prefix_error_grid(cfg, [cfg.taus], model)[:, 0]
+        assert A.tolist() == [1.0, 1.0]
+        out = outcome_on(cfg, model)
+        assert (out.p, out.p_e, throughput(cfg, out)) == ((0.0, 0.0), 1.0, 0.0)
 
 
 class TestChannelContract:
