@@ -124,7 +124,7 @@ def _write_json(cfg: dict[str, Any], command: str, payload: dict[str, Any]) -> N
 def _write_csv(cfg: dict[str, Any], command: str, columns: list[str], rows: list[list[Any]]) -> None:
     """The config header, then the table with numbers to 12 significant digits."""
     path = _out_path(cfg, command, "csv")
-    lines = [",".join(x if isinstance(x, str) else f"{x:.12g}" for x in row) for row in [columns, *rows]]
+    lines = [",".join([x if isinstance(x, str) else "%.12g" % x for x in row]) for row in [columns, *rows]]
     path.write_text("\n".join(config_header_lines(cfg) + lines) + "\n")
     print(path)
 

@@ -23,12 +23,18 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float_list(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip()]
+def _parse_list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    # a command reads a list's first entry, so an empty list is refused here
+    def parse(s: str) -> list:
+        values = [item(x) for x in s.split(",") if x.strip()]
+        if not values:
+            raise ValueError("expected a nonempty comma-separated list")
+        return values
+
+    return parse
 
 
-def _parse_int_list(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip()]
+_parse_float_list = _parse_list(float)
 
 
 def _parse_choice(*choices: str) -> Callable[[str], str]:
@@ -63,10 +69,10 @@ KEY_PARSERS: dict[str, Callable[[str], Any]] = {
     "out": str.strip,
     "format": _parse_choice("csv", "json"),
     "scheme": _parse_choice("CC", "IR"),
-    "schemes": lambda s: [_parse_choice("CC", "IR")(x) for x in s.split(",") if x.strip()],
+    "schemes": _parse_list(_parse_choice("CC", "IR")),
     "n": int,
     "k": int,
-    "k_list": _parse_int_list,
+    "k_list": _parse_list(int),
     "m": _parse_budget,
     "taus": _parse_float_list,
     "tau_grid": _parse_tau_grid,

@@ -86,9 +86,14 @@ def channel_dispersion(gamma: float) -> float:
     return (1.0 - (1.0 + gamma) ** -2) * LOG2E_SQ
 
 
+#: Largest blocklength n: a prefix of round lengths is keyed by parent id x (n + 1) + length
+#: (outcomes._prefix_tree), which fits in int64 for fewer than 2^32 tau candidates.
+N_MAX = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class CodeParams:
-    """Mother code dimensions: n symbols carrying k information bits."""
+    """Mother code dimensions: n symbols carrying k information bits, 1 <= n <= N_MAX."""
 
     n: int
     k: int
@@ -96,6 +101,8 @@ class CodeParams:
     def __post_init__(self) -> None:
         check_length("blocklength n", self.n)
         check_length("information length k", self.k)
+        if self.n > N_MAX:
+            raise DomainError(f"blocklength n must be at most {N_MAX}, got {self.n}")
 
     @property
     def rate(self) -> float:
@@ -209,11 +216,27 @@ def _erfc(x) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _eps(cap, k: int, numerator, d, denom) -> np.ndarray:
-    # Q(numerator / denom) = erfc(x) / 2 (no scipy); zero dispersion d decides on cap > k
+# The tail screen of _eps: 0.5 * erfc(4) = 7.7e-9, _erfc is within 7 ulp of erfc and erfc
+# decreases, so an argument x >= _SCREEN_X has a computed eps below _SCREEN_U
+_SCREEN_X = 4.0
+_SCREEN_U = 1e-8
+
+
+def _eps(cap, k: int, numerator, d, denom, u=None) -> np.ndarray:
+    """Q(numerator / denom) = erfc(x) / 2 (no scipy); zero dispersion d decides on cap > k.
+
+    With the uniforms u (of x's shape) of a decision u >= eps, an element with x >= _SCREEN_X and
+    u >= _SCREEN_U gets eps 0 without _erfc: its computed eps is below _SCREEN_U <= u,
+    so the decision is the same.  Such an eps is then valid only for that decision.
+    NaN fails both comparisons and takes _erfc."""
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.asarray(numerator / denom) / _SQRT2
-    q = _erfc(x)
+    if u is None:
+        q = _erfc(x)
+    else:
+        live = ~((x >= _SCREEN_X) & (u >= _SCREEN_U))
+        q = np.zeros(live.shape)
+        q[live] = _erfc(x[live])
     q *= 0.5  # in place: a 0-d array stays an array
     np.copyto(q, cap <= k, where=d == 0.0)
     return q
@@ -222,7 +245,7 @@ def _eps(cap, k: int, numerator, d, denom) -> np.ndarray:
 def round_stepper(
     code: CodeParams, lengths, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL
 ) -> tuple[Callable, object]:
-    """The finite-blocklength kernel as step(carry, depth, gamma) -> (carry, eps).
+    """The finite-blocklength kernel as step(carry, depth, gamma, u=None) -> (carry, eps).
 
     step adds round `depth` (0-based), received at SNR gamma, to the carry of
     the rounds before it and returns the new carry with the decoder error
@@ -236,7 +259,8 @@ def round_stepper(
     incremental redundancy carries the accumulated capacity and dispersion
     (nats^2, scaled at evaluation) of lengths[0..depth].  Zero dispersion
     decides on capacity against k, and an infinite SNR gives eps = 0.
-    Callers validate the SNRs.
+    Given the packets' uniforms u, eps is valid only for the decision u >= eps
+    (see _eps); the path walk never passes u.  Callers validate the SNRs.
     """
     n, k = code.n, code.k
     scale = kernel.dispersion_scale
@@ -245,22 +269,22 @@ def round_stepper(
         log2_n = math.log2(n)
         root_nv = kernel.cc_denominator == "sqrt_nv"
 
-        def step_cc(carry, depth, gamma):
+        def step_cc(carry, depth, gamma, u=None):
             gsum = carry[0] + gamma
             cap = n * np.log2(1.0 + gsum)
             v = (1.0 - np.power(1.0 + gsum, -2.0)) * scale
-            return (gsum,), _eps(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v))
+            return (gsum,), _eps(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v), u)
 
         return step_cc, (0.0,)
 
     lengths = np.asarray(lengths)
     log2_total = np.log2(np.cumsum(lengths, axis=0))
 
-    def step_ir(carry, depth, gamma):
+    def step_ir(carry, depth, gamma, u=None):
         cap = carry[0] + lengths[depth] * np.log2(1.0 + gamma)
         disp = carry[1] + lengths[depth] * (1.0 - np.power(1.0 + gamma, -2.0))
         d = disp * scale
-        return (cap, disp), _eps(cap, k, cap - k + log2_total[depth], d, np.sqrt(d))
+        return (cap, disp), _eps(cap, k, cap - k + log2_total[depth], d, np.sqrt(d), u)
 
     return step_ir, (0.0, 0.0)
 

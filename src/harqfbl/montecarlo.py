@@ -22,6 +22,12 @@ fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
 error by orders of magnitude.  Kernel and trace gains are evaluated only where
 a decision needs them: round j after a failed round j - 1, at offsets packets reach.
+Round 1 of a block reads its uniforms and SNRs as one slice; later rounds
+gather the failed packets.  The steps get the uniforms, and fbl._eps's tail
+screen gives eps = 0 without erfc where the Q argument x >= 4 and u >= 1e-8:
+the exact eps is then at most 0.5 * erfc(4) = 7.7e-9 < u, so the decision
+is the same.  A fixed SNR needs no kernel per packet: each packet resolves
+at the first of the m thresholds eps_j with u >= eps_j.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ _BLOCK = 1 << 14  # packets or trace offsets per kernel step
 _TRACE_BLOCK = 512  # trace samples per block; each block starts from exact phasors
 _TRACE_CHUNK = 256  # phasor blocks per matmul
 _TRACE_MAX = 1 << 27  # trace samples: 2 GiB of complex128
-_PACKETS_MAX = 1 << 24  # packets per simulation; a fixed-SNR run of this many peaks near 0.7 GiB
+_PACKETS_MAX = 1 << 24  # packets per simulation; a fixed-SNR run of this many peaks near 33 MiB
 
 
 def _check_seed(seed: int) -> None:
@@ -105,7 +111,9 @@ def generate_trace(
         starts = np.exp(1j * (np.outer(t0, omega) + phi))
         rows = np.matmul(starts, rotate, out=h[lo:lo + _TRACE_CHUNK])
         rows += starts.sum(axis=1)[:, None]
-    h /= math.sqrt(n_oscillators)
+    # numpy divides a complex array by a real one as a product with the reciprocal, so
+    # scaling the real view is bitwise the same at half the arithmetic
+    h.view(np.float64)[...] *= 1.0 / math.sqrt(n_oscillators)
     return FadingTrace(h.reshape(-1)[:length], f_d, t_tb, seed, n_oscillators)
 
 
@@ -158,19 +166,28 @@ def _first_success(stepper, u: np.ndarray, snr_of, m: int) -> np.ndarray:
     """The resolution rule: packet i resolves at the first round j with u[i] >= eps_j, else at m.
 
     Round j is stepped (stepper is round_stepper's (step, start)) at the SNRs
-    snr_of(j, idx) only of the packets idx of a _BLOCK that failed round j - 1.
+    snr_of(j, idx) only of the packets idx of a _BLOCK that failed round j - 1;
+    round 1 reads its block as the slice idx = slice(lo, hi).  The uniforms go
+    to step, whose tail screen then skips the Gaussian tail where it cannot
+    change a decision.
     """
     step, start = stepper
-    resolved = np.full(len(u), m, dtype=np.min_scalar_type(m + 1))
+    resolved = np.empty(len(u), dtype=np.min_scalar_type(m + 1))
     for lo in range(0, len(u), _BLOCK):
-        idx, carry = np.arange(lo, min(lo + _BLOCK, len(u))), start
-        for j in range(m):
-            carry, eps = step(carry, j, snr_of(j, idx))
-            ok = u[idx] >= eps
-            resolved[idx[ok]] = j
-            idx, carry = idx[~ok], tuple(c[~ok] for c in carry)
+        hi = min(lo + _BLOCK, len(u))
+        ub = u[lo:hi]
+        carry, eps = step(start, 0, snr_of(0, slice(lo, hi)), ub)
+        fail = ~(ub >= eps)  # written so that a NaN eps fails
+        resolved[lo:hi] = fail * m
+        idx = np.flatnonzero(fail) + lo
+        for j in range(1, m):
             if not len(idx):
                 break
+            ui = u[idx]
+            carry, eps = step(tuple(c[fail] for c in carry), j, snr_of(j, idx), ui)
+            fail = ~(ui >= eps)
+            resolved[idx[~fail]] = j
+            idx = idx[fail]
     return resolved
 
 
@@ -244,9 +261,15 @@ def simulate_harq(
         u = rng.random(packets)  # drawn after the paths
         return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: snrs[states[j][i]], m), packets)
     if not isinstance(channel, TraceChannel):
-        # the one-state chain's eps_j, passed through as the "SNR" of round j
+        # the one-state chain's eps_j are m thresholds: the last j with u >= eps_j written wins, so
+        # each packet ends at the first such j, as in _first_success; uniforms are drawn block by
+        # block, the same stream as one draw of them all
         eps = prefix_error_grid(cfg, [cfg.taus], channel, kernel)[:, 0]
-        resolved = _first_success((lambda carry, j, e: (carry, e), ()), rng.random(packets), lambda j, i: eps[j], m)
+        resolved = np.full(packets, m, dtype=np.min_scalar_type(m + 1))
+        for lo in range(0, packets, _BLOCK):
+            u, block = rng.random(min(_BLOCK, packets - lo)), resolved[lo:lo + _BLOCK]
+            for j in range(m - 1, -1, -1):
+                block[u >= eps[j]] = j
         return _result_from_resolution(cfg, resolved, packets)
 
     check_snr(channel.avg_snr)
@@ -256,19 +279,21 @@ def simulate_harq(
         raise ResourceLimitError(
             f"trace of {len(samples)} samples exhausted after 0 packets; generate a longer trace")
 
-    def gains(at):  # linear SNRs of the samples a decision reads, and of no other
-        return channel.avg_snr * np.abs(samples[at]) ** 2
+    def gains(h):  # linear SNRs of the samples a decision reads, and of no other
+        return channel.avg_snr * np.abs(h) ** 2
 
     if packet_start == "iid":
         u, starts = rng.random(packets), rng.integers(0, n, size=packets)  # in this order
-        return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: gains(starts[i] + j), m), packets)
+        return _result_from_resolution(
+            cfg, _first_success(stepper, u, lambda j, i: gains(samples[starts[i] + j]), m), packets)
     # every packet takes 1 to m offsets: resolve the first `packets`, then at
     # most (packets - done) * m more; uniforms are drawn range by range, the
     # same stream as one draw of them all
     resolved, lo, hi = np.empty(0, dtype=np.uint8), 0, min(packets, n)
     while lo < hi:
-        more = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains(lo + i + j), m)
-        resolved = np.concatenate((resolved, more))
+        more = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains(samples[lo + j:][i]), m)
+        # the previous chain's starts are let go before the next is built, 8 MB at 1e6 packets
+        resolved, starts = np.concatenate((resolved, more)), None
         starts, done = _chain_starts(np.minimum(resolved + 1, m), packets)
         lo, hi = hi, min(n, hi + (packets - done) * m)
     if done < packets:

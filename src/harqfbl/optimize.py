@@ -80,6 +80,8 @@ class OptimizationProblem:
     path_budget: int = DEFAULT_PATH_BUDGET
 
     def __post_init__(self) -> None:
+        if not isinstance(self.channel, FsmcModel):  # _chain's rule, checked before any entry point
+            check_real("a channel that is not an FsmcModel", self.channel)
         check_real("PER threshold", self.per_ceiling)
         if not 0.0 < self.per_ceiling <= 1.0:
             raise DomainError(f"PER threshold must lie in (0, 1], got {self.per_ceiling}")

@@ -47,6 +47,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r":2: expected"):
             parse_config_text("n = 100\nnonsense line\n")
 
+    @pytest.mark.parametrize("key", ["snr_db", "k_list", "taus", "schemes", "tau_grid"])
+    def test_empty_lists_rejected_with_line_number(self, key):
+        with pytest.raises(ConfigError, match=rf"<config>:2: bad value for '{key}'.*nonempty"):
+            parse_config_text(f"n = 100\n{key} = , \n")
+
     def test_typed_lists(self):
         cfg = parse_config_text("snr_db = -2, -1, 0\nk_list = 50,70\ntaus = 1.0,0.58\n")
         assert cfg["snr_db"] == [-2.0, -1.0, 0.0]
@@ -476,8 +481,14 @@ class TestCommands:
             ("delay", "preset = fig3\nschemes = zzz\n", "expected one of ('CC', 'IR'), got 'zzz'"),
             # f_d * t_tb underflowed to 0: a ZeroDivisionError in build_equal_duration
             ("fsmc", "preset = fsmc_l13\nf_d_hz = 1e-320\n", "f_d * t_tb must be positive"),
+            # an OverflowError from the prefix keys of the path walk
+            ("per-curve", "preset = fig2a\nn = 100000000000000000000\n", "n must be at most 2147483647"),
+            # an IndexError at the first SNR
+            ("per-curve", "preset = fig2a\nsnr_db =\n", "nonempty"),
+            ("delay", "preset = fig3\nk_list = ,\n", "nonempty"),
         ],
-        ids=["per-curve-m", "optimize-m", "simulate-m", "delay-schemes", "fsmc-f_d"],
+        ids=["per-curve-m", "optimize-m", "simulate-m", "delay-schemes", "fsmc-f_d", "per-curve-n", "per-curve-snr",
+             "delay-k_list"],
     )
     def test_former_tracebacks_are_config_errors(self, tmp_path, capsys, command, lines, message):
         cfg = tmp_path / "bad.cfg"

@@ -10,8 +10,10 @@ from scipy.integrate import quad
 from harqfbl import (
     CodeParams,
     DomainError,
+    HarqConfig,
     KernelOptions,
     LOG2E_SQ,
+    Scheme,
     TransmissionRecord,
     channel_dispersion,
     db_to_linear,
@@ -21,6 +23,8 @@ from harqfbl import (
     q_function,
 )
 from harqfbl import fbl
+from harqfbl.fbl import round_stepper
+from harqfbl.outcomes import prefix_error_grid
 
 mp.mp.dps = 40
 
@@ -141,6 +145,46 @@ class TestVectorisedErfc:
         assert fbl._erfc(x[:12].reshape(3, 4)).tolist() == whole[:12].reshape(3, 4).tolist()
 
 
+SCREEN_X = [math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0), 0.0, -4.0, 3.0, 5.0, 26.5, 27.3, 40.0,
+            math.inf, -math.inf, math.nan]
+SCREEN_U = [0.0, math.nextafter(1e-8, 0.0), 1e-8, math.nextafter(1e-8, 1.0), 7.7e-9, 0.5, 1.0]
+uniforms = st.floats(0.0, 1.0) | st.sampled_from(SCREEN_U)
+
+
+class TestTailScreen:
+    """With the packets' uniforms, _eps answers 0 where x >= 4 and u >= 1e-8 without
+    _erfc; every decision u >= eps must stay what the exact eps gives."""
+
+    def test_decisions_at_the_screen_edges(self, monkeypatch):
+        # with _SQRT2 = 1 the Q argument x is the numerator itself, so x = 4 - 1 ulp, 4, 4 + 1 ulp are exact
+        monkeypatch.setattr(fbl, "_SQRT2", 1.0)
+        x, u = (a.ravel() for a in np.meshgrid(SCREEN_X, SCREEN_U))
+        for cap, d in ((80.0, 1.0), (80.0, 0.0), (60.0, 0.0)):  # zero dispersion decides on cap against k = 70
+            exact = fbl._eps(cap, 70, x, d, 1.0)
+            screened = fbl._eps(cap, 70, x, d, 1.0, u)
+            assert np.array_equal(u >= screened, u >= exact)
+            skipped = (x >= 4.0) & (u >= 1e-8) & (d != 0.0)
+            assert np.all(screened[skipped] == 0.0) and np.all(exact[skipped] < 1e-8)
+            assert np.array_equal(screened[~skipped], exact[~skipped], equal_nan=True)
+
+    @given(
+        st.sampled_from([Scheme.CC, Scheme.IR]),
+        st.lists(st.tuples(st.floats(0.0, 1e4) | st.sampled_from([0.0, math.inf, math.nan]),
+                           st.floats(0.0, 1e4) | st.sampled_from([0.0, math.inf]), uniforms),
+                 min_size=1, max_size=64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_steppers_decide_as_without_the_screen(self, scheme, rounds):
+        # two rounds, so that the screen also meets a carried capacity and dispersion
+        g0, g1, u = (np.array(c) for c in zip(*rounds))
+        step, start = round_stepper(CodeParams(100, 70), (100, 60), scheme)
+        for gamma, carry in ((g0, start), (g1, step(start, 0, g0)[0])):
+            new, exact = step(carry, int(carry is not start), gamma)
+            same, screened = step(carry, int(carry is not start), gamma, u)
+            assert np.array_equal(u >= screened, u >= exact)
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, same))
+
+
 class TestChannelDispersion:
     def test_zero_snr(self):
         assert channel_dispersion(0.0) == 0.0
@@ -202,6 +246,15 @@ class TestCodeParams:
     def test_non_integer_types_and_nonpositive_rejected(self, n, k):
         with pytest.raises(DomainError):
             CodeParams(n, k)
+
+    def test_blocklength_bounded_so_that_prefix_keys_fit_int64(self):
+        # n = 1e20 used to overflow the walk's prefix keys, parent id x (n + 1) + length
+        with pytest.raises(DomainError, match="at most"):
+            CodeParams(fbl.N_MAX + 1, 70)
+        cfg = HarqConfig(CodeParams(fbl.N_MAX, 70), Scheme.IR, 3, (1.0, 0.5, 0.5))
+        taus = [(1.0, t1, t2) for t1 in (0.5, 1.0) for t2 in (0.25, 0.5)]
+        A = prefix_error_grid(cfg, taus, 1.0)
+        assert A.shape == (3, 4) and np.all((A >= 0.0) & (A <= 1.0))
 
 
 class TestBoundarySnr:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -146,6 +147,17 @@ class TestGenerateTrace:
             exact, max_phase = exact_oscillator_sum(f_d, t_tb, seed, n_oscillators, i)
             assert abs(s[i] - exact) <= 4.0 * 2.0**-52 * max_phase, i
 
+    @pytest.mark.parametrize("n_oscillators", [3, 7, 50, 257])
+    def test_scaled_as_by_a_complex_division(self, monkeypatch, n_oscillators):
+        # the real view is scaled by 1 / sqrt(K); with sqrt patched to 1 the raw sum comes back
+        # unscaled, and dividing it by sqrt(K) must give the same bits
+        f_d, t_tb, length = 241.4, 1.4e-4, 3 * B + 5
+        scaled = generate_trace(f_d, t_tb, length, 19, n_oscillators).samples
+        monkeypatch.setattr(montecarlo, "math", SimpleNamespace(**{**vars(math), "sqrt": lambda x: 1.0}))
+        raw = generate_trace(f_d, t_tb, length, 19, n_oscillators).samples
+        assert np.array_equal(scaled, raw / math.sqrt(n_oscillators))
+        assert not np.array_equal(scaled, raw)
+
     def test_length_over_the_limit_raises_before_allocating(self):
         with pytest.raises(ResourceLimitError):
             generate_trace(100.0, 1e-4, _TRACE_MAX + 1, 0)
@@ -188,6 +200,18 @@ class TestSimulateAwgn:
         b = simulate_harq(cfg, db_to_linear(-3.0), 50_000, 4)
         assert a.outcome.p == b.outcome.p
         assert a.throughput == b.throughput
+
+    def test_uniforms_are_drawn_block_by_block(self):
+        # a fixed SNR used to hold all 2^20 uniforms at once, 8 MiB; now a uniform block plus the
+        # 1 MiB of outcomes and one count mask
+        cfg = HarqConfig(CodeParams(100, 100), Scheme.CC, 2, (1.0, 1.0))
+        tracemalloc.start()
+        try:
+            simulate_harq(cfg, db_to_linear(-1.0), 1 << 20, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
     def test_packet_floor(self):
         cfg = HarqConfig(CodeParams(100, 70), Scheme.IR, 2, (1.0, 0.5))
@@ -255,6 +279,21 @@ class TestSimulateFading:
         assert abs(res.outcome.p[0] - analytic.p[0]) <= 0.05
         assert analytic.p_e <= res.outcome.p_e <= 50.0 * analytic.p_e
         assert abs(res.throughput - throughput(cfg, analytic)) <= 0.02
+
+    def test_continuous_mode_holds_one_chain_of_starts(self, fading_setup):
+        # about 4 % of packets retransmit, so the first 2^18 offsets hold too few starts and the
+        # chain is built twice; the first chain's int64 starts used to live on while the second
+        # was built, a peak of 2.7 x 8 bytes per packet instead of 1.7
+        cfg, model, _ = fading_setup
+        packets = 1 << 18
+        trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 2 * packets + 2, 17), model.avg_snr)
+        tracemalloc.start()
+        try:
+            simulate_harq(cfg, trace, packets, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * packets
 
     def test_iid_packet_start_mode(self, fading_setup):
         cfg, model, _ = fading_setup
@@ -376,6 +415,26 @@ class TestSurvivorRule:
                 channel, mode = (db_to_linear(-1.0) if kind == "fixed" else model), "continuous"
             expected = dense_simulate(cfg, channel, packets, seed, mode)
             assert simulate_harq(cfg, channel, packets, seed, packet_start=mode) == expected
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS[1:3] + SURVIVOR_CFGS[4:], ids=SURVIVOR_IDS[1:3] + SURVIVOR_IDS[4:])
+    @pytest.mark.parametrize("snr_db, screened", [(-3.0, False), (14.0, True)], ids=["low", "high"])
+    def test_matches_the_dense_rule_on_both_sides_of_the_tail_screen(self, monkeypatch, cfg, snr_db, screened):
+        # at -3 dB almost every round takes the exact Gaussian tail; at 14 dB the screen
+        # decides most first rounds without it, on every channel and with m = 2 and 3
+        values = []
+        erfc = fbl._erfc
+        monkeypatch.setattr(fbl, "_erfc", lambda x: values.append(np.size(x)) or erfc(x))
+        model = build_fixed_sojourn(13, 3.0446, 0.0338 / 0.00014, 0.00014, db_to_linear(snr_db))
+        trace = generate_trace(model.f_d, model.t_tb, 4_000 * cfg.m + cfg.m, 12)
+        for channel, mode in ((db_to_linear(snr_db), "continuous"), (model, "continuous"),
+                              (TraceChannel(trace, model.avg_snr), "iid"),
+                              (TraceChannel(trace, model.avg_snr), "continuous")):
+            values.clear()
+            got = simulate_harq(cfg, channel, 4_000, 12, packet_start=mode)
+            through_erfc = sum(values)
+            assert got == dense_simulate(cfg, channel, 4_000, 12, mode)
+            if not isinstance(channel, float):  # a fixed SNR compares its m thresholds only
+                assert (through_erfc < 2_000) == screened, through_erfc
 
     @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
     def test_many_small_blocks(self, fading_setup, monkeypatch, cfg):

@@ -284,6 +284,13 @@ class TestInputContract:
         with pytest.raises(DomainError):
             OptimizationProblem(**{"cfg_base": base_cfg(70), "channel": 1.0, "per_ceiling": 0.1, **field})
 
+    @pytest.mark.parametrize("channel", ["abc", None, True, 1.0 + 0.0j], ids=["str", "none", "bool", "complex"])
+    @pytest.mark.parametrize("entry", [lambda p: sweep(p, [-2.0]), optimize_tau1], ids=["sweep", "optimize_tau1"])
+    def test_problem_channel_is_a_model_or_a_real_number(self, channel, entry):
+        # sweep replaces a fixed-SNR channel by its SNR list, so it used to return a report for 'abc'
+        with pytest.raises(DomainError, match="channel"):
+            entry(OptimizationProblem(base_cfg(70), channel, per_ceiling=0.01))
+
     @pytest.mark.parametrize("snrs", [["a"], [True], [12.0, None]], ids=["str", "bool", "none"])
     def test_sweep_takes_only_real_snrs(self, snrs):
         with pytest.raises(DomainError, match="SNR"):
