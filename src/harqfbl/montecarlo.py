@@ -6,7 +6,7 @@ Three independent checks live here:
     equal-power sinusoids with uniformly random arrival angles and phases,
     whose ensemble autocorrelation is the zeroth-order Bessel function
     J0(2*pi*f_d*tau) and whose envelope tends to Rayleigh as the number of
-    oscillators grows;
+    oscillators grows, synthesised chunk by chunk as far as it is read;
   - simulate_harq: the one simulator, packet-level HARQ on the analysis's
     kernel against a fixed SNR, against state paths sampled from an FSMC
     model itself (the Monte Carlo replica of fading.outcomes_fading), or
@@ -22,6 +22,9 @@ fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
 error by orders of magnitude.  Kernel and trace gains are evaluated only where
 a decision needs them: round j after a failed round j - 1, at offsets packets reach.
+Back-to-back packets resolve a trace block by block: one chain of start offsets
+runs through each block from the start the last one carries over, and each start
+is counted by its class, so no index of starts is built.
 Round 1 of a block reads its uniforms and SNRs as one slice; later rounds
 gather the failed packets.  The steps get the uniforms, and fbl._eps's tail
 screen gives eps = 0 without erfc where the Q argument x >= 4 and u >= 1e-8:
@@ -35,7 +38,9 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +53,7 @@ _BLOCK = 1 << 14  # packets or trace offsets per kernel step
 _TRACE_BLOCK = 512  # trace samples per block; each block starts from exact phasors
 _TRACE_CHUNK = 256  # phasor blocks per matmul
 _TRACE_MAX = 1 << 27  # trace samples: 2 GiB of complex128
+_OSCILLATORS_MAX = 1 << 12  # oscillators: a 32 MiB rotation and 16 MiB of phasors per chunk
 _PACKETS_MAX = 1 << 24  # packets per simulation; a fixed-SNR run of this many peaks near 33 MiB
 
 
@@ -57,9 +63,17 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+class _Synthesis(NamedTuple):  # a trace's samples, allocated up front, and the generator that fills their chunks
+    samples: np.ndarray
+    chunks: Iterator[int]
+
+
 @dataclass(frozen=True)
 class FadingTrace:
-    """Complex channel gains sampled every t_tb seconds."""
+    """Complex channel gains sampled every t_tb seconds.  A trace from generate_trace is
+    synthesised chunk by chunk on first read: prefix(n) synthesises the chunks that hold the
+    first n samples, reading samples all of them and len() none; synthesised counts the samples
+    that exist so far.  A trace built from an array is complete."""
 
     samples: np.ndarray
     f_d: float
@@ -67,8 +81,28 @@ class FadingTrace:
     seed: int
     n_oscillators: int
 
+    def __post_init__(self) -> None:
+        # generate_trace passes a _Synthesis as samples: it is kept aside and samples left unset
+        # until complete, so that reading samples reaches __getattr__
+        lazy = isinstance(self.samples, _Synthesis)
+        synthesis = self.__dict__.pop("samples") if lazy else _Synthesis(self.samples, iter(()))
+        object.__setattr__(self, "_synthesis", synthesis)
+        object.__setattr__(self, "synthesised", 0 if lazy else len(self.samples))
+
+    def __getattr__(self, name: str):
+        if name != "samples" or "_synthesis" not in self.__dict__:
+            raise AttributeError(name)
+        object.__setattr__(self, "samples", self.prefix(len(self)))  # complete: read directly from now on
+        return self.samples
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._synthesis.samples)
+
+    def prefix(self, n: int) -> np.ndarray:
+        """Samples 0..n-1 (all of them past the end), synthesising only the chunks that hold them."""
+        while self.synthesised < min(n, len(self)):
+            object.__setattr__(self, "synthesised", next(self._synthesis.chunks))
+        return self._synthesis.samples[:n]
 
 
 def generate_trace(
@@ -83,7 +117,8 @@ def generate_trace(
     Each oscillator's phasor is exact at every block start and one shared
     rotation carries it across the block, a matrix product per chunk of
     blocks: a sample is within 4 * 2**-52 * max_k |omega_k*t + phi_k| of the
-    exact sum, the rounding of the phase itself.
+    exact sum, the rounding of the phase itself.  Every argument is checked
+    here, but a chunk is synthesised only when the trace is first read there.
     """
     # written so that NaN fails too
     if not 0.0 <= f_d < math.inf:
@@ -97,24 +132,30 @@ def generate_trace(
         raise DomainError(f"trace phase 2*pi*f_d*t_tb*(length - 1) overflows at length {length}")
     if length > _TRACE_MAX:
         raise ResourceLimitError(f"trace length {length} exceeds the limit of {_TRACE_MAX} samples")
+    if n_oscillators > _OSCILLATORS_MAX:
+        raise ResourceLimitError(f"oscillator count {n_oscillators} exceeds the limit of {_OSCILLATORS_MAX}")
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.0, 2.0 * math.pi, n_oscillators)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_oscillators)
     omega = 2.0 * math.pi * f_d * np.cos(alpha)
-    width = min(_TRACE_BLOCK, length)
+    width, scale = min(_TRACE_BLOCK, length), 1.0 / math.sqrt(n_oscillators)
     # rotation minus one, exactly 0 at f_d = 0, so that no BLAS summation
     # order can make a static channel's samples differ
     rotate = np.expm1(1j * np.outer(omega, np.arange(width) * t_tb))
-    h = np.empty((-(-length // width), width), dtype=np.complex128)
-    for lo in range(0, len(h), _TRACE_CHUNK):
-        t0 = np.arange(lo, min(lo + _TRACE_CHUNK, len(h))) * width * t_tb  # exact index, rounded once
-        starts = np.exp(1j * (np.outer(t0, omega) + phi))
-        rows = np.matmul(starts, rotate, out=h[lo:lo + _TRACE_CHUNK])
-        rows += starts.sum(axis=1)[:, None]
-    # numpy divides a complex array by a real one as a product with the reciprocal, so
-    # scaling the real view is bitwise the same at half the arithmetic
-    h.view(np.float64)[...] *= 1.0 / math.sqrt(n_oscillators)
-    return FadingTrace(h.reshape(-1)[:length], f_d, t_tb, seed, n_oscillators)
+    h = np.empty((-(-length // width), width), dtype=np.complex128)  # no page is touched before its chunk
+
+    def chunks():  # one chunk per next(), in order, the last one short; yields how many samples exist
+        for lo in range(0, len(h), _TRACE_CHUNK):
+            t0 = np.arange(lo, min(lo + _TRACE_CHUNK, len(h))) * width * t_tb  # exact index, rounded once
+            starts = np.exp(1j * (np.outer(t0, omega) + phi))
+            rows = np.matmul(starts, rotate, out=h[lo:lo + _TRACE_CHUNK])
+            rows += starts.sum(axis=1)[:, None]
+            # numpy divides a complex array by a real one as a product with the reciprocal, so
+            # scaling the real view is bitwise the same at half the arithmetic
+            rows.view(np.float64)[...] *= scale
+            yield min((lo + len(rows)) * width, length)
+
+    return FadingTrace(_Synthesis(h.reshape(-1)[:length], chunks()), f_d, t_tb, seed, n_oscillators)
 
 
 @dataclass(frozen=True)
@@ -137,9 +178,14 @@ class SimResult:
     packets: int
 
 
-def _result_from_resolution(cfg: HarqConfig, resolved: np.ndarray, packets: int) -> SimResult:
-    m = cfg.m
-    counts = np.array([np.count_nonzero(resolved == j) for j in range(m + 1)])
+def _class_counts(resolved: np.ndarray, m: int) -> np.ndarray:
+    # one pass per class: a bincount would first widen resolved to int64
+    return np.array([np.count_nonzero(resolved == j) for j in range(m + 1)])
+
+
+def _result_from_resolution(cfg: HarqConfig, counts: np.ndarray) -> SimResult:
+    """Every statistic from the m + 1 counts of packets resolved at rounds 0..m-1 and unresolved."""
+    m, packets = cfg.m, int(counts.sum())
     freq = counts / packets
     se = np.sqrt(freq * (1.0 - freq) / packets)  # binomial
     outcome = OutcomeDistribution(tuple(float(f) for f in freq[:m]), float(freq[m]))
@@ -191,25 +237,27 @@ def _first_success(stepper, u: np.ndarray, snr_of, m: int) -> np.ndarray:
     return resolved
 
 
-def _chain_starts(advance: np.ndarray, packets: int) -> tuple[np.ndarray, int]:
-    """The first `packets` starts s_0 = 0, s_(i+1) = s_i + advance[s_i] that lie in
-    advance, and how many there are.  An offset with advance 1 hands the start to
-    the next, so only the jumping offsets J (advance >= 2) are chained, by pointer
-    doubling over their orbit; the offsets their jumps skip are marked with +1/-1
-    and one cumulative sum."""
+def _walk_starts(advance: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+    """The chain s_0 = start, s_(i+1) = s_i + advance[s_i] over the offsets of advance: a mask
+    of the starts it visits there and its first start past them, from which the walk resumes
+    over the next offsets.  An offset with advance 1 hands the start to the next, so only the
+    jumping offsets J (advance >= 2) are chained, by pointer doubling over their orbit; the
+    offsets their jumps skip are marked by a toggle where each run opens and where it closes."""
     n = len(advance)
     J = np.flatnonzero(advance >= 2)
     # the next jumping offset reached from each one; len(J) is the sentinel
     nxt = np.append(np.searchsorted(J, J + advance[J]), len(J))
-    orbit = np.zeros(1, dtype=nxt.dtype)
+    orbit = np.searchsorted(J, [start])  # the first jumping offset from start on
     while orbit[-1] != len(J):
         orbit, nxt = np.concatenate((orbit, nxt[orbit])), nxt[nxt]
     visited = J[orbit[orbit < len(J)]]
-    skipped = np.zeros(n + 1, dtype=np.int8)
-    skipped[visited + 1] = 1
-    skipped[np.minimum(visited + advance[visited], n)] -= 1
-    starts = np.flatnonzero(np.cumsum(skipped[:n], dtype=np.int8) == 0)[:packets]
-    return starts, len(starts)
+    landing = visited + advance[visited]
+    # the skipped runs are disjoint and not empty, so each opens and closes at an offset of its own
+    toggles = np.zeros(n + 1, dtype=bool)
+    toggles[visited + 1] = toggles[np.minimum(landing, n)] = True
+    mask = ~np.logical_xor.accumulate(toggles[:n])
+    mask[:start] = False
+    return mask, int(max(n, landing[-1] if len(visited) else start))
 
 
 def simulate_harq(
@@ -259,7 +307,8 @@ def simulate_harq(
                 nxt[sel] = np.minimum(np.searchsorted(cum_rows[row], u[sel], side="left"), L - 1)
             states.append(nxt)
         u = rng.random(packets)  # drawn after the paths
-        return _result_from_resolution(cfg, _first_success(stepper, u, lambda j, i: snrs[states[j][i]], m), packets)
+        resolved = _first_success(stepper, u, lambda j, i: snrs[states[j][i]], m)
+        return _result_from_resolution(cfg, _class_counts(resolved, m))
     if not isinstance(channel, TraceChannel):
         # the one-state chain's eps_j are m thresholds: the last j with u >= eps_j written wins, so
         # each packet ends at the first such j, as in _first_success; uniforms are drawn block by
@@ -270,36 +319,36 @@ def simulate_harq(
             u, block = rng.random(min(_BLOCK, packets - lo)), resolved[lo:lo + _BLOCK]
             for j in range(m - 1, -1, -1):
                 block[u >= eps[j]] = j
-        return _result_from_resolution(cfg, resolved, packets)
+        return _result_from_resolution(cfg, _class_counts(resolved, m))
 
     check_snr(channel.avg_snr)
-    samples = channel.trace.samples
-    n = len(samples) - m + 1  # offsets at which a whole packet fits
+    trace = channel.trace
+    n = len(trace) - m + 1  # offsets at which a whole packet fits
+    exhausted = f"trace of {len(trace)} samples exhausted after {{}} packets; generate a longer trace"
     if n <= 1:
-        raise ResourceLimitError(
-            f"trace of {len(samples)} samples exhausted after 0 packets; generate a longer trace")
+        raise ResourceLimitError(exhausted.format(0))
 
     def gains(h):  # linear SNRs of the samples a decision reads, and of no other
         return channel.avg_snr * np.abs(h) ** 2
 
     if packet_start == "iid":
         u, starts = rng.random(packets), rng.integers(0, n, size=packets)  # in this order
-        return _result_from_resolution(
-            cfg, _first_success(stepper, u, lambda j, i: gains(samples[starts[i] + j]), m), packets)
-    # every packet takes 1 to m offsets: resolve the first `packets`, then at
-    # most (packets - done) * m more; uniforms are drawn range by range, the
-    # same stream as one draw of them all
-    resolved, lo, hi = np.empty(0, dtype=np.uint8), 0, min(packets, n)
-    while lo < hi:
-        more = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains(samples[lo + j:][i]), m)
-        # the previous chain's starts are let go before the next is built, 8 MB at 1e6 packets
-        resolved, starts = np.concatenate((resolved, more)), None
-        starts, done = _chain_starts(np.minimum(resolved + 1, m), packets)
-        lo, hi = hi, min(n, hi + (packets - done) * m)
-    if done < packets:
-        raise ResourceLimitError(
-            f"trace of {len(samples)} samples exhausted after {done} packets; generate a longer trace")
-    return _result_from_resolution(cfg, resolved[starts], packets)
+        resolved = _first_success(stepper, u, lambda j, i: gains(trace.samples[starts[i] + j]), m)
+        return _result_from_resolution(cfg, _class_counts(resolved, m))
+    # each packet takes at least one offset, so none from start + (packets - done) on is needed
+    # yet; offset i gets uniform i of the stream, however the blocks fall
+    counts, done, start, lo = np.zeros(m + 1, dtype=np.int64), 0, 0, 0
+    while done < packets:
+        hi = min(lo + _BLOCK, n, start + packets - done)
+        if hi <= lo:
+            raise ResourceLimitError(exhausted.format(done))
+        h = trace.prefix(hi + m - 1)
+        resolved = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains(h[lo + j:][i]), m)
+        visited, start = _walk_starts(np.minimum(resolved + 1, m), start - lo)
+        resolved = resolved[visited][:packets - done]
+        counts += _class_counts(resolved, m)
+        done, start, lo = done + len(resolved), start + lo, hi
+    return _result_from_resolution(cfg, counts)
 
 
 @dataclass(frozen=True)

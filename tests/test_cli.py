@@ -354,6 +354,32 @@ class TestCommands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_RESOURCE
         assert "exceeds the limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [("simulate", "preset = sim_fig4a\noscillators = 100000000000000000000\n"),
+         ("fsmc", "preset = fsmc_l13\ntrials = 1000\noscillators = 100000000000000000000\n"),
+         ("simulate", f"preset = sim_fig4a\noscillators = {montecarlo._OSCILLATORS_MAX + 1}\n")],
+    )
+    def test_huge_oscillator_count_is_a_resource_error(self, tmp_path, capsys, command, text):
+        # 10^20 used to end in a traceback from the phase draw: "Maximum allowed dimension exceeded"
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "oscillator count" in err and "Traceback" not in err
+
+    def test_sim_fig4a_synthesises_and_walks_only_what_its_packets_reach(self, tmp_path, monkeypatch, capsys):
+        # 1e6 packets reach about 1.05e6 offsets of a 2e6 + 2-sample trace, within 9 of its 16
+        # chunks of 2^17 samples; the chain of starts walks each of those offsets once
+        traces, walked = [], []
+        generate, walk = montecarlo.generate_trace, montecarlo._walk_starts
+        monkeypatch.setattr(cli, "generate_trace", lambda *args: traces.append(generate(*args)) or traces[-1])
+        monkeypatch.setattr(montecarlo, "_walk_starts", lambda adv, start: walked.append(len(adv)) or walk(adv, start))
+        assert main(["simulate", "--preset", "sim_fig4a", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(traces[0]) == 2_000_002 and traces[0].synthesised <= 9 << 17
+        assert 1_000_000 < sum(walked) < 1_100_000
+        capsys.readouterr()
+
     def test_fixed_snr_packet_count_is_bounded(self, tmp_path, capsys):
         # used to end in a numpy allocation traceback asking for 72.8 TiB
         cfg = tmp_path / "huge.cfg"

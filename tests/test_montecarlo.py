@@ -33,13 +33,14 @@ from harqfbl.fading import FadingOutcomeQuery
 from harqfbl.fbl import round_stepper
 from harqfbl.montecarlo import (
     _BLOCK,
+    _OSCILLATORS_MAX,
     _PACKETS_MAX,
     _TRACE_BLOCK,
     _TRACE_CHUNK,
     _TRACE_MAX,
     FadingTrace,
-    _chain_starts,
     _result_from_resolution,
+    _walk_starts,
 )
 
 B = _TRACE_BLOCK
@@ -163,6 +164,17 @@ class TestGenerateTrace:
             generate_trace(100.0, 1e-4, _TRACE_MAX + 1, 0)
         with pytest.raises(ResourceLimitError):
             generate_trace(100.0, 1e-4, 10**13, 0)
+
+    @pytest.mark.parametrize("n_oscillators", [_OSCILLATORS_MAX + 1, 10**20])
+    def test_oscillator_count_over_the_limit_raises_before_allocating(self, n_oscillators):
+        # 10^20 used to end in numpy's "Maximum allowed dimension exceeded" from the phase draw
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="oscillator count"):
+                generate_trace(100.0, 1e-4, 10, 0, n_oscillators)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
 
     def test_overflowing_phase_raises(self):
         # 2*pi*f_d*t_tb*9 is inf; the samples used to come back NaN
@@ -315,6 +327,11 @@ class TestSimulateFading:
             simulate_harq(cfg, TraceChannel(trace, model.avg_snr), 1000, 3, packet_start=packet_start)
 
 
+def class_counts(cfg, resolved):
+    """The m + 1 class counts that _result_from_resolution takes."""
+    return np.bincount(resolved, minlength=cfg.m + 1)
+
+
 def dense_resolution(cfg, snrs, u):
     """Every round of every packet through the kernel, then the first round j with u >= eps_j, else m."""
     step, carry = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme)
@@ -347,11 +364,11 @@ def dense_simulate(cfg, channel, packets, seed, packet_start="continuous"):
         every, starts = dense_chain(cfg, channel, packets, seed)
         if len(starts) < packets:
             return f"trace of {len(channel.trace)} samples exhausted after {len(starts)} packets; generate a longer trace"
-        return _result_from_resolution(cfg, every[starts], packets)
+        return _result_from_resolution(cfg, class_counts(cfg, every[starts]))
     if isinstance(channel, TraceChannel):
         gains = channel.avg_snr * np.abs(channel.trace.samples) ** 2
         u, starts = rng.random(packets), rng.integers(0, len(gains) - m + 1, size=packets)
-        return _result_from_resolution(cfg, dense_resolution(cfg, [gains[starts + j] for j in range(m)], u), packets)
+        return _result_from_resolution(cfg, class_counts(cfg, dense_resolution(cfg, [gains[starts + j] for j in range(m)], u)))
     if isinstance(channel, FsmcModel):
         L, q = channel.n_states, np.asarray(channel.q)
         states = [rng.choice(L, size=packets, p=q / q.sum())]
@@ -361,7 +378,7 @@ def dense_simulate(cfg, channel, packets, seed, packet_start="continuous"):
         snrs = np.asarray(channel.state_snrs)[np.array(states)]
     else:
         snrs = np.full((m, packets), float(channel))
-    return _result_from_resolution(cfg, dense_resolution(cfg, snrs, rng.random(packets)), packets)
+    return _result_from_resolution(cfg, class_counts(cfg, dense_resolution(cfg, snrs, rng.random(packets))))
 
 
 def simulated(cfg, channel, packets, seed, packet_start="continuous"):
@@ -496,6 +513,55 @@ class TestSurvivorRule:
                 tracemalloc.stop()
 
 
+CHUNK = _TRACE_CHUNK * B  # samples per synthesised chunk
+
+
+class TestLazyTrace:
+    """generate_trace synthesises a chunk only when the trace is first read there."""
+
+    @pytest.mark.parametrize("f_d", [241.4, 0.0])
+    @pytest.mark.parametrize("length", [*EDGE_LENGTHS, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_completed_after_a_run_equals_one_synthesis(self, fading_setup, f_d, length):
+        cfg, model, _ = fading_setup
+        lazy = generate_trace(f_d, 1.4e-4, length, 19)
+        simulated(cfg, TraceChannel(lazy, model.avg_snr), 1_000, 3)  # too short a trace raises
+        assert lazy.synthesised == min(length, CHUNK if length > cfg.m else 0)
+        assert np.array_equal(lazy.samples, generate_trace(f_d, 1.4e-4, length, 19).samples)
+        assert lazy.synthesised == length
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS[1:3] + SURVIVOR_CFGS[4:], ids=SURVIVOR_IDS[1:3] + SURVIVOR_IDS[4:])
+    @pytest.mark.parametrize("mode", ["continuous", "iid"])
+    def test_simulates_as_its_complete_copy(self, fading_setup, cfg, mode):
+        # at 0 dB, on a full trace and on both sides of the shortest that holds every packet
+        model, packets = fading_setup[1], 2_000
+        full = generate_trace(model.f_d, model.t_tb, packets * cfg.m + cfg.m, 9)
+        last = dense_chain(cfg, TraceChannel(full, 1.0), packets, 9)[1][-1]
+        for length in (len(full), last + cfg.m, last + cfg.m - 1):
+            lazy = generate_trace(model.f_d, model.t_tb, length, 9)
+            copy = FadingTrace(generate_trace(model.f_d, model.t_tb, length, 9).samples.copy(), model.f_d, model.t_tb, 9, 64)
+            got = simulated(cfg, TraceChannel(lazy, 1.0), packets, 9, mode)
+            assert got == simulated(cfg, TraceChannel(copy, 1.0), packets, 9, mode)
+            assert isinstance(got, str) == (mode == "continuous" and length < last + cfg.m)
+
+    def test_continuous_run_synthesises_only_the_chunks_it_reads(self, fading_setup):
+        # about 4 % of 2^18 packets retransmit: the last start lies past the second chunk,
+        # far from the end of the 2^19 + 2-sample trace
+        cfg, model, _ = fading_setup
+        packets, length = 1 << 18, 2 * (1 << 18) + 2
+        lazy = generate_trace(model.f_d, model.t_tb, length, 17)
+        simulate_harq(cfg, TraceChannel(lazy, model.avg_snr), packets, 5)
+        complete = TraceChannel(generate_trace(model.f_d, model.t_tb, length, 17), model.avg_snr)
+        last = dense_chain(cfg, complete, packets, 5)[1][-1]
+        assert last + cfg.m > 2 * CHUNK
+        assert lazy.synthesised == -(-(last + cfg.m) // CHUNK) * CHUNK < length
+
+    def test_length_synthesises_nothing(self):
+        trace = generate_trace(241.4, 1.4e-4, 3 * CHUNK + 5, 1)
+        assert len(trace) == 3 * CHUNK + 5 and trace.synthesised == 0
+        assert len(trace.prefix(CHUNK + 1)) == CHUNK + 1 and trace.synthesised == 2 * CHUNK
+        assert np.array_equal(trace.prefix(10**9), trace.samples) and trace.synthesised == len(trace)
+
+
 def walked_starts(advance, packets):
     """The starts of back-to-back packets, one packet at a time."""
     starts, s = [], 0
@@ -503,6 +569,22 @@ def walked_starts(advance, packets):
         starts.append(s)
         s += int(advance[s])
     return starts
+
+
+def random_advance(m, n, rate, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(n) < rate, rng.integers(2, m + 1, n) if m > 1 else 1, 1).astype(np.uint8)
+
+
+def walked_in_ranges(advance, bounds):
+    """The starts _walk_starts visits over advance cut at bounds, range by range from the
+    start each range carries over, and the start the last range carries out."""
+    starts, start = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        mask, nxt = _walk_starts(advance[lo:hi], start - lo)
+        starts += (np.flatnonzero(mask) + lo).tolist()
+        start = lo + nxt
+    return starts, start
 
 
 class TestChainStarts:
@@ -513,11 +595,26 @@ class TestChainStarts:
     @settings(max_examples=300, deadline=None)
     def test_matches_a_plain_walk(self, m, n, rate, packets, seed):
         # jump rates 0-100 %, and packet counts past the trace's end
-        rng = np.random.default_rng(seed)
-        advance = np.where(rng.random(n) < rate, rng.integers(2, m + 1, n) if m > 1 else 1, 1).astype(np.uint8)
-        starts, done = _chain_starts(advance, packets)
+        advance = random_advance(m, n, rate, seed)
+        starts = np.flatnonzero(_walk_starts(advance, 0)[0])[:packets]
         expected = walked_starts(advance, packets)
-        assert starts.tolist() == expected and done == len(expected)
+        assert starts.tolist() == expected and len(starts) == len(expected)
+
+    @given(st.integers(1, 3), st.integers(1, 300), st.floats(0.0, 1.0), st.integers(1, 700), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 300), max_size=3))
+    @example(m=2, n=50, rate=0.0, packets=60, seed=0, cuts=[20])
+    @example(m=2, n=50, rate=1.0, packets=60, seed=0, cuts=[1, 2, 25])
+    @example(m=3, n=1, rate=1.0, packets=5, seed=0, cuts=[])
+    @example(m=3, n=9, rate=1.0, packets=5, seed=0, cuts=[4, 4, 5])  # an empty range
+    @settings(max_examples=300, deadline=None)
+    def test_resumes_range_by_range(self, m, n, rate, packets, seed, cuts):
+        # 1-4 ranges; a jump may land past the next range's first offsets or past the end
+        advance = random_advance(m, n, rate, seed)
+        starts, end = walked_in_ranges(advance, [0, *sorted(min(c, n) for c in cuts), n])
+        expected = walked_starts(advance, packets)
+        assert starts[:packets] == expected and len(starts[:packets]) == len(expected)
+        every = walked_starts(advance, n + 1)
+        assert starts == every and end == every[-1] + int(advance[every[-1]])
 
 
 def moments_from_arrays(cfg, resolved, packets):
@@ -544,7 +641,7 @@ class TestCountStatistics:
         rng = np.random.default_rng(3)
         p = np.array([*shares[:cfg.m], sum(shares[cfg.m:])])
         resolved = rng.choice(cfg.m + 1, size=200_003, p=p / p.sum()).astype(np.uint8)
-        res = _result_from_resolution(cfg, resolved, len(resolved))
+        res = _result_from_resolution(cfg, class_counts(cfg, resolved))
         tp, tp_se = moments_from_arrays(cfg, resolved, len(resolved))
         assert res.throughput == pytest.approx(tp, rel=1e-12, abs=0.0)
         assert res.throughput_se == pytest.approx(tp_se, rel=1e-12, abs=1e-300)
