@@ -13,7 +13,9 @@ round_stepper is the one place the Q-function argument is evaluated, on
 numpy arrays over tau candidates x state paths or over packets.  per_cc,
 per_ir, the path walk outcomes.prefix_error_grid and the Monte Carlo
 simulator all call it; _erfc, one numpy form for every array size, gives the
-Gaussian tail without scipy, so every probability lies in [0, 1].
+Gaussian tail without scipy, so every probability lies in [0, 1].  Given the
+packets' uniforms, _eps skips the tail where it cannot change a decision, and
+_screen_snr gives the round-1 SNR from which that holds for every packet.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def q_function(x: float) -> float:
 
 def check_snr(gamma: float) -> None:
     # written so that NaN fails too; +inf is a valid, error-free SNR
+    check_real("SNR", gamma)
     if not gamma >= 0.0:
         raise DomainError(f"SNR must be a nonnegative number, got {gamma}")
 
@@ -191,8 +194,11 @@ def _erfc(x) -> np.ndarray:
     |x| = 26.5 on; negative x reflect to 2 - erfc(|x|), rounded once.  The form runs
     only where erfc is inexact: it is 0 from _ERFC_ZERO on, 2 from -6 down (erfc(6) < 2^-53)."""
     shape, x = np.shape(x), np.asarray(x, dtype=float).ravel()
-    live = (~((x <= -6.0) | (x >= _ERFC_ZERO))).nonzero()[0]  # written so that NaN stays live
-    out, x = (x < 0.0) * 2.0, x[live]  # out holds the exact tails
+    exact = (x <= -6.0) | (x >= _ERFC_ZERO)  # written so that NaN stays live
+    gather = exact.any()  # else the form takes x whole, with no copy in or out
+    if gather:
+        live = (~exact).nonzero()[0]
+        out, x = (x < 0.0) * 2.0, x[live]  # out holds the exact tails
     a = np.abs(x)
     z = np.minimum(a, _ERFC_CLAMP)
     t = 2.0 / (z + 2.0)
@@ -212,6 +218,8 @@ def _erfc(x) -> np.ndarray:
     s = np.copysign(1.0, x + 0.0)  # -1 where x < 0, else +1 (x + 0.0 turns -0.0 into +0.0)
     v *= s
     v -= s - 1.0  # 2 - v where x < 0, rounded once
+    if not gather:
+        return v.reshape(shape)
     out[live] = v
     return out.reshape(shape)
 
@@ -231,19 +239,55 @@ def _eps(cap, k: int, numerator, d, denom, u=None) -> np.ndarray:
     NaN fails both comparisons and takes _erfc."""
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.asarray(numerator / denom) / _SQRT2
+    del numerator, denom  # the caller's temporaries: not held while _erfc runs
     if u is None:
         q = _erfc(x)
     else:
         live = ~((x >= _SCREEN_X) & (u >= _SCREEN_U))
+        x = _erfc(x[live])  # the whole x is no longer held either
         q = np.zeros(live.shape)
-        q[live] = _erfc(x[live])
+        q[live] = x
     q *= 0.5  # in place: a 0-d array stays an array
     np.copyto(q, cap <= k, where=d == 0.0)
     return q
 
 
+def _screen_margin(cap, k: int, numerator, d, denom, u=None) -> np.ndarray:
+    # >= 0 where x clears _SCREEN_X by 1e-9 (1 + (cap + k) / denom), a million times x's rounding
+    # error (a few ulp of cap, k and log2 n over denom); zero dispersion gives NaN, never >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (numerator / denom / _SQRT2 - _SCREEN_X) / (1e-9 * (1.0 + (cap + k) / denom)) - 1.0
+
+
+_SCREEN_SNRS: dict = {}  # (n, k, scheme, kernel) -> _screen_snr's answer
+
+
+def _screen_snr(code: CodeParams, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL) -> float:
+    """g_hi: from it on, round 1's computed Q argument x is >= _SCREEN_X, so _eps's tail screen
+    decides in round 1 every packet with SNR >= g_hi and u >= _SCREEN_U.  Round 1 sends n symbols,
+    and x(g) = (A ln(1 + g) - B) / sqrt(C (1 - (1 + g)^-2)), A, C > 0, B = k - log2 n, has x' of the
+    sign of A ((1 + g)^2 - 1 - ln(1 + g)) + B: x increases when k >= log2 n.  g_hi is the float that
+    bisection on bit patterns finds where round 1's own step clears _screen_margin; with
+    k < log2 n, or no finite g clearing it, g_hi is inf.  Cached; computed on first use."""
+    key = (code.n, code.k, scheme, kernel)
+    if key not in _SCREEN_SNRS:
+        step, start = round_stepper(code, (code.n,), scheme, kernel, tail=_screen_margin)
+
+        def clears(bits: int) -> bool:
+            return bool(step(start, 0, float(np.int64(bits).view(np.float64)))[1] >= 0.0)
+
+        lo, hi = 0, 0x7FEF_FFFF_FFFF_FFFF  # the bits of 0 and of the largest float; clears(hi) throughout
+        if code.k < math.log2(code.n) or not clears(hi):
+            lo = hi = 0x7FF0_0000_0000_0000  # inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if clears(mid) else (mid, hi)
+        _SCREEN_SNRS[key] = float(np.int64(hi).view(np.float64))
+    return _SCREEN_SNRS[key]
+
+
 def round_stepper(
-    code: CodeParams, lengths, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL
+    code: CodeParams, lengths, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL, tail=None
 ) -> tuple[Callable, object]:
     """The finite-blocklength kernel as step(carry, depth, gamma, u=None) -> (carry, eps).
 
@@ -260,9 +304,12 @@ def round_stepper(
     (nats^2, scaled at evaluation) of lengths[0..depth].  Zero dispersion
     decides on capacity against k, and an infinite SNR gives eps = 0.
     Given the packets' uniforms u, eps is valid only for the decision u >= eps
-    (see _eps); the path walk never passes u.  Callers validate the SNRs.
+    (see _eps); the path walk never passes u.  Callers validate the SNRs.  tail
+    (_eps by default) maps the terms (cap, k, numerator, d, denom, u) to step's eps.
     """
-    n, k = code.n, code.k
+    if not isinstance(kernel, KernelOptions):
+        raise DomainError(f"kernel must be a KernelOptions, got {kernel!r}")
+    n, k, tail = code.n, code.k, tail or _eps
     scale = kernel.dispersion_scale
     # np.power, not **, so that scalars and arrays round alike
     if scheme is Scheme.CC:
@@ -273,7 +320,7 @@ def round_stepper(
             gsum = carry[0] + gamma
             cap = n * np.log2(1.0 + gsum)
             v = (1.0 - np.power(1.0 + gsum, -2.0)) * scale
-            return (gsum,), _eps(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v), u)
+            return (gsum,), tail(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v), u)
 
         return step_cc, (0.0,)
 
@@ -284,7 +331,7 @@ def round_stepper(
         cap = carry[0] + lengths[depth] * np.log2(1.0 + gamma)
         disp = carry[1] + lengths[depth] * (1.0 - np.power(1.0 + gamma, -2.0))
         d = disp * scale
-        return (cap, disp), _eps(cap, k, cap - k + log2_total[depth], d, np.sqrt(d), u)
+        return (cap, disp), tail(cap, k, cap - k + log2_total[depth], d, np.sqrt(d), u)
 
     return step_ir, (0.0, 0.0)
 

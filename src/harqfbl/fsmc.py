@@ -178,6 +178,15 @@ class FsmcModel:
     t_tb: float
     c: float
 
+    def __post_init__(self) -> None:
+        # the shapes every consumer indexes by, and a q that normalises; validate() keeps the tolerances
+        L = len(self.q)
+        if (len(self.thresholds), len(self.state_snrs), len(self.transitions)) != (L + 1, L, L) or \
+                any(len(row) != L for row in self.transitions):
+            raise DomainError(f"{L} states need {L + 1} thresholds, {L} state SNRs and a {L} x {L} transition matrix")
+        if not (all(0.0 <= p < math.inf for p in self.q) and sum(self.q) > 0.0):
+            raise DomainError(f"state probabilities q must be finite and nonnegative with a positive sum, got {self.q}")
+
     @property
     def n_states(self) -> int:
         return len(self.q)

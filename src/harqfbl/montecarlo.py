@@ -22,15 +22,16 @@ fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
 error by orders of magnitude.  Kernel and trace gains are evaluated only where
 a decision needs them: round j after a failed round j - 1, at offsets packets reach.
-Back-to-back packets resolve a trace block by block: one chain of start offsets
-runs through each block from the start the last one carries over, and each start
-is counted by its class, so no index of starts is built.
-Round 1 of a block reads its uniforms and SNRs as one slice; later rounds
-gather the failed packets.  The steps get the uniforms, and fbl._eps's tail
-screen gives eps = 0 without erfc where the Q argument x >= 4 and u >= 1e-8:
-the exact eps is then at most 0.5 * erfc(4) = 7.7e-9 < u, so the decision
-is the same.  A fixed SNR needs no kernel per packet: each packet resolves
-at the first of the m thresholds eps_j with u >= eps_j.
+fbl._eps's tail screen gives eps = 0 without erfc where the Q argument x >= 4 and
+u >= 1e-8 (the exact eps is then at most 0.5 * erfc(4) = 7.7e-9 < u), and round 1's
+x increases in the SNR, so a packet whose round-1 SNR is at least fbl._screen_snr's
+g_hi, with u >= 1e-8, is decided in round 1 from those two numbers alone.  Only the
+other packets are kept, and the kernel steps them in groups of up to _BLOCK.
+Back-to-back packets resolve a trace half a synthesis chunk (_SPAN offsets) at a time:
+one chain of start offsets runs through each span from the start the last one
+carries over, and each start is counted by its class, so no index of starts is
+built.  A fixed SNR needs no kernel per packet: each packet resolves at the first
+of the m thresholds eps_j with u >= eps_j.
 """
 
 from __future__ import annotations
@@ -45,13 +46,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .fbl import DEFAULT_KERNEL, KernelOptions, check_length, check_snr, round_stepper
+from .fbl import _SCREEN_U, DEFAULT_KERNEL, KernelOptions, _screen_snr, check_length, check_snr, round_stepper
 from .fsmc import FsmcModel
 from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_grid
 
 _BLOCK = 1 << 14  # packets or trace offsets per kernel step
 _TRACE_BLOCK = 512  # trace samples per block; each block starts from exact phasors
 _TRACE_CHUNK = 256  # phasor blocks per matmul
+# trace offsets a continuous run resolves and walks at once: half a synthesis chunk, so that the
+# span-long arrays and the groups of undecided packets stay small (a whole chunk peaks 0.8 MiB higher)
+_SPAN = _TRACE_CHUNK * _TRACE_BLOCK // 2
 _TRACE_MAX = 1 << 27  # trace samples: 2 GiB of complex128
 _OSCILLATORS_MAX = 1 << 12  # oscillators: a 32 MiB rotation and 16 MiB of phasors per chunk
 _PACKETS_MAX = 1 << 24  # packets per simulation; a fixed-SNR run of this many peaks near 33 MiB
@@ -83,8 +87,17 @@ class FadingTrace:
 
     def __post_init__(self) -> None:
         # generate_trace passes a _Synthesis as samples: it is kept aside and samples left unset
-        # until complete, so that reading samples reaches __getattr__
+        # until complete, so that reading samples reaches __getattr__; samples given as an array
+        # are checked here, and a synthesis is not, so that nothing is synthesised early
         lazy = isinstance(self.samples, _Synthesis)
+        if not lazy:
+            try:
+                object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
+                valid = self.samples.ndim == 1 and not np.isnan(self.samples).any()
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise DomainError("trace samples must be a 1-D array of complex gains, none of them NaN")
         synthesis = self.__dict__.pop("samples") if lazy else _Synthesis(self.samples, iter(()))
         object.__setattr__(self, "_synthesis", synthesis)
         object.__setattr__(self, "synthesised", 0 if lazy else len(self.samples))
@@ -208,33 +221,43 @@ def _result_from_resolution(cfg: HarqConfig, counts: np.ndarray) -> SimResult:
     )
 
 
-def _first_success(stepper, u: np.ndarray, snr_of, m: int) -> np.ndarray:
+def _first_success(stepper, g_hi: float, uniform, snr_of, count: int, m: int) -> np.ndarray:
     """The resolution rule: packet i resolves at the first round j with u[i] >= eps_j, else at m.
 
-    Round j is stepped (stepper is round_stepper's (step, start)) at the SNRs
-    snr_of(j, idx) only of the packets idx of a _BLOCK that failed round j - 1;
-    round 1 reads its block as the slice idx = slice(lo, hi).  The uniforms go
-    to step, whose tail screen then skips the Gaussian tail where it cannot
-    change a decision.
+    Packets 0..count-1 come _BLOCK at a time, uniform(lo, hi) giving their uniforms in order and
+    snr_of(0, slice(lo, hi)) their round-1 SNRs.  Those with SNR >= g_hi and u >= _SCREEN_U are
+    decided in round 1 there, as the tail screen decides them; the others (NaN SNRs too) are kept
+    and stepped (stepper is round_stepper's) in groups of up to _BLOCK by _resolve_group.
     """
-    step, start = stepper
-    resolved = np.empty(len(u), dtype=np.min_scalar_type(m + 1))
-    for lo in range(0, len(u), _BLOCK):
-        hi = min(lo + _BLOCK, len(u))
-        ub = u[lo:hi]
-        carry, eps = step(start, 0, snr_of(0, slice(lo, hi)), ub)
-        fail = ~(ub >= eps)  # written so that a NaN eps fails
-        resolved[lo:hi] = fail * m
-        idx = np.flatnonzero(fail) + lo
-        for j in range(1, m):
-            if not len(idx):
-                break
-            ui = u[idx]
-            carry, eps = step(tuple(c[fail] for c in carry), j, snr_of(j, idx), ui)
-            fail = ~(ui >= eps)
-            resolved[idx[~fail]] = j
-            idx = idx[fail]
+    resolved = np.zeros(count, dtype=np.min_scalar_type(m + 1))
+    kept = []  # (indices, uniforms, round-1 SNRs) of the undecided packets not yet stepped
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        u, g = uniform(lo, hi), snr_of(0, slice(lo, hi))
+        i = np.flatnonzero(~((g >= g_hi) & (u >= _SCREEN_U)))
+        kept.append((i + lo, u[i], g[i]))
+        if hi == count or sum(len(k[0]) for k in kept) >= _BLOCK:
+            idx, u, g = map(np.concatenate, zip(*kept))
+            cut = len(idx) if hi == count else len(idx) - len(idx) % _BLOCK
+            kept = [(idx[cut:], u[cut:], g[cut:])]  # waits for the next group
+            for a in range(0, cut, _BLOCK):
+                _resolve_group(stepper, idx[a:a + _BLOCK], u[a:a + _BLOCK], g[a:a + _BLOCK], snr_of, m, resolved)
     return resolved
+
+
+def _resolve_group(stepper, idx, u, g, snr_of, m: int, resolved: np.ndarray) -> None:
+    # rounds 1..m of the packets idx, with uniforms u and round-1 SNRs g, into resolved: round j
+    # is stepped at snr_of(j, idx) of the packets that failed round j - 1, with their uniforms
+    step, carry = stepper
+    for j in range(m):
+        carry, eps = step(carry, j, snr_of(j, idx) if j else g, u)
+        fail = ~(u >= eps)  # written so that a NaN eps fails
+        resolved[idx[~fail]] = j
+        idx, u = idx[fail], u[fail]
+        if not len(idx):
+            return
+        carry = tuple(c[fail] for c in carry)
+    resolved[idx] = m
 
 
 def _walk_starts(advance: np.ndarray, start: int) -> tuple[np.ndarray, int]:
@@ -293,6 +316,19 @@ def simulate_harq(
     rng = np.random.default_rng(seed)
     stepper = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
 
+    if not isinstance(channel, (FsmcModel, TraceChannel)):
+        # the one-state chain's eps_j are m thresholds: the last j with u >= eps_j written wins, so
+        # each packet ends at the first such j, as in _first_success; uniforms are drawn block by
+        # block, the same stream as one draw of them all
+        eps = prefix_error_grid(cfg, [cfg.taus], channel, kernel)[:, 0]
+        resolved = np.full(packets, m, dtype=np.min_scalar_type(m + 1))
+        for lo in range(0, packets, _BLOCK):
+            u, block = rng.random(min(_BLOCK, packets - lo)), resolved[lo:lo + _BLOCK]
+            for j in range(m - 1, -1, -1):
+                block[u >= eps[j]] = j
+        return _result_from_resolution(cfg, _class_counts(resolved, m))
+
+    g_hi = _screen_snr(cfg.code, cfg.scheme, kernel)
     if isinstance(channel, FsmcModel):
         snrs = np.asarray(channel.state_snrs)
         check_snr(snrs.min())  # NaN propagates, so it fails too
@@ -307,18 +343,8 @@ def simulate_harq(
                 nxt[sel] = np.minimum(np.searchsorted(cum_rows[row], u[sel], side="left"), L - 1)
             states.append(nxt)
         u = rng.random(packets)  # drawn after the paths
-        resolved = _first_success(stepper, u, lambda j, i: snrs[states[j][i]], m)
-        return _result_from_resolution(cfg, _class_counts(resolved, m))
-    if not isinstance(channel, TraceChannel):
-        # the one-state chain's eps_j are m thresholds: the last j with u >= eps_j written wins, so
-        # each packet ends at the first such j, as in _first_success; uniforms are drawn block by
-        # block, the same stream as one draw of them all
-        eps = prefix_error_grid(cfg, [cfg.taus], channel, kernel)[:, 0]
-        resolved = np.full(packets, m, dtype=np.min_scalar_type(m + 1))
-        for lo in range(0, packets, _BLOCK):
-            u, block = rng.random(min(_BLOCK, packets - lo)), resolved[lo:lo + _BLOCK]
-            for j in range(m - 1, -1, -1):
-                block[u >= eps[j]] = j
+        resolved = _first_success(stepper, g_hi, lambda lo, hi: u[lo:hi],
+                                  lambda j, i: snrs[states[j][i]], packets, m)
         return _result_from_resolution(cfg, _class_counts(resolved, m))
 
     check_snr(channel.avg_snr)
@@ -333,21 +359,24 @@ def simulate_harq(
 
     if packet_start == "iid":
         u, starts = rng.random(packets), rng.integers(0, n, size=packets)  # in this order
-        resolved = _first_success(stepper, u, lambda j, i: gains(trace.samples[starts[i] + j]), m)
+        resolved = _first_success(stepper, g_hi, lambda lo, hi: u[lo:hi],
+                                  lambda j, i: gains(trace.samples[starts[i] + j]), packets, m)
         return _result_from_resolution(cfg, _class_counts(resolved, m))
-    # each packet takes at least one offset, so none from start + (packets - done) on is needed
-    # yet; offset i gets uniform i of the stream, however the blocks fall
+    # offsets are resolved _SPAN at a time; each packet takes at least one offset, so none from start +
+    # (packets - done) on is needed yet; offset i gets uniform i of the stream, however spans fall
     counts, done, start, lo = np.zeros(m + 1, dtype=np.int64), 0, 0, 0
     while done < packets:
-        hi = min(lo + _BLOCK, n, start + packets - done)
+        hi = min(lo + _SPAN, n, start + packets - done)
         if hi <= lo:
             raise ResourceLimitError(exhausted.format(done))
         h = trace.prefix(hi + m - 1)
-        resolved = _first_success(stepper, rng.random(hi - lo), lambda j, i: gains(h[lo + j:][i]), m)
+        resolved = _first_success(stepper, g_hi, lambda a, b: rng.random(b - a),
+                                  lambda j, i: gains(h[lo + j:][i]), hi - lo, m)
         visited, start = _walk_starts(np.minimum(resolved + 1, m), start - lo)
         resolved = resolved[visited][:packets - done]
         counts += _class_counts(resolved, m)
         done, start, lo = done + len(resolved), start + lo, hi
+        del resolved, visited  # not held while the next span is resolved
     return _result_from_resolution(cfg, counts)
 
 

@@ -390,7 +390,9 @@ class TestCommands:
 
     def test_sim_fig4a_evaluates_the_kernel_only_where_packets_reach(self, tmp_path, monkeypatch, capsys):
         # 1e6 packets on a 2e6-offset trace, about 97 % decoded in round 1:
-        # the dense rule evaluated both rounds at every offset, 4,000,052 values
+        # the dense rule evaluated both rounds at every offset, 4,000,052 values;
+        # about 92 % of the offsets are decided from their round-1 SNR alone, and
+        # the rest are stepped in groups of up to _BLOCK
         evals = []
         eps = fbl._eps
 
@@ -401,7 +403,7 @@ class TestCommands:
 
         monkeypatch.setattr(fbl, "_eps", counted)
         assert main(["simulate", "--preset", "sim_fig4a", "--out", str(tmp_path)]) == EXIT_OK
-        assert sum(evals) <= 1_100_000
+        assert len(evals) <= 40 and sum(evals) <= 150_000, (len(evals), sum(evals))
         capsys.readouterr()
 
     def test_delay_csv_uses_twelve_significant_digits(self, tmp_path):

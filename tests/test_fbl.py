@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -145,6 +149,25 @@ class TestVectorisedErfc:
         assert fbl._erfc(x[:12].reshape(3, 4)).tolist() == whole[:12].reshape(3, 4).tolist()
 
 
+    def test_arguments_taken_whole_equal_the_gathered_ones(self):
+        # with no exact argument _erfc skips its gather and scatter; the same values among
+        # exact ones take the gathered path, bit for bit alike, at every shape
+        x = self.arguments()
+        inexact = x[(x > -6.0) & (x < fbl._ERFC_ZERO)]
+        whole = fbl._erfc(inexact)
+        tails = np.array([40.0, -8.0, math.inf, -math.inf, fbl._ERFC_ZERO, -6.0])
+        mixed = np.empty(2 * len(inexact))
+        mixed[0::2], mixed[1::2] = inexact, np.resize(tails, len(inexact))
+        assert np.array_equal(fbl._erfc(mixed)[0::2], whole)
+        assert fbl._erfc(tails).tolist() == [math.erfc(t) for t in tails.tolist()]
+        assert fbl._erfc(inexact[:12].reshape(3, 4)).tolist() == whole[:12].reshape(3, 4).tolist()
+        for i in range(0, len(inexact), 101):
+            single = fbl._erfc(inexact[i])
+            assert single.shape == () and single == whole[i] == fbl._erfc(np.array([inexact[i], 40.0]))[0]
+        assert fbl._erfc(np.array([])).shape == (0,) and fbl._erfc(np.zeros((0, 3))).shape == (0, 3)
+        assert np.isnan(fbl._erfc(np.array([math.nan, 1.0])))[0]
+
+
 SCREEN_X = [math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0), 0.0, -4.0, 3.0, 5.0, 26.5, 27.3, 40.0,
             math.inf, -math.inf, math.nan]
 SCREEN_U = [0.0, math.nextafter(1e-8, 0.0), 1e-8, math.nextafter(1e-8, 1.0), 7.7e-9, 0.5, 1.0]
@@ -183,6 +206,68 @@ class TestTailScreen:
             same, screened = step(carry, int(carry is not start), gamma, u)
             assert np.array_equal(u >= screened, u >= exact)
             assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, same))
+
+
+SCREEN_CODES = [CodeParams(100, 70), CodeParams(100, 90), CodeParams(32, 5), CodeParams(2048, 1500),
+                CodeParams(1024, 10)]
+SCREEN_KERNELS = [KernelOptions(), KernelOptions("bits2"), KernelOptions(cc_denominator="n_sqrt_v"),
+                  KernelOptions("bits2", "n_sqrt_v")]
+
+
+class TestScreenSnr:
+    """_screen_snr's g_hi: from it on, round 1's computed Q argument clears the tail screen."""
+
+    @pytest.mark.parametrize("code", SCREEN_CODES, ids=[f"n{c.n}-k{c.k}" for c in SCREEN_CODES])
+    @pytest.mark.parametrize("kernel", SCREEN_KERNELS, ids=["nats2", "bits2", "n_sqrt_v", "bits2-n_sqrt_v"])
+    @pytest.mark.parametrize("scheme", [Scheme.IR, Scheme.CC])
+    def test_round_one_clears_the_screen_from_g_hi_on(self, monkeypatch, code, kernel, scheme):
+        # the arguments _erfc receives from the unscreened step, on a dense log grid from g_hi
+        # to 1e12 and at inf; just below g_hi the argument is within 1e-6 of the screen
+        args = []
+        erfc = fbl._erfc
+        monkeypatch.setattr(fbl, "_erfc", lambda x: args.append(np.array(x)) or erfc(x))
+        g_hi = fbl._screen_snr(code, scheme, kernel)
+        assert 0.0 < g_hi < math.inf
+        grid = np.concatenate([[g_hi, math.nextafter(g_hi, math.inf), math.inf],
+                               np.geomspace(g_hi, 1e12, 20_001), g_hi * (1.0 + np.linspace(0.0, 1e-3, 2_001))])
+        step, start = round_stepper(code, (code.n, code.n // 2), scheme, kernel)
+        step(start, 0, grid)
+        assert args[-1].shape == grid.shape and args[-1].min() >= fbl._SCREEN_X
+        step(start, 0, np.array([math.nextafter(g_hi, 0.0), g_hi]))
+        assert args[-1][0] < fbl._SCREEN_X + 1e-6 and args[-1][1] - fbl._SCREEN_X < 1e-6
+
+    def test_no_screen_when_k_is_below_log2_n(self):
+        # B = k - log2 n < 0: round 1's argument need not increase in the SNR
+        for scheme in (Scheme.IR, Scheme.CC):
+            assert fbl._screen_snr(CodeParams(1024, 9), scheme) == math.inf
+            assert fbl._screen_snr(CodeParams(3, 1), scheme) == math.inf
+            assert fbl._screen_snr(CodeParams(1024, 10), scheme) < math.inf
+
+    def test_no_finite_snr_clears_an_unreachable_rate(self):
+        # k > 1024 n: log2(1 + g) never exceeds k / n below the largest float
+        assert fbl._screen_snr(CodeParams(2, 4_000), Scheme.IR) == math.inf
+
+    def test_computed_on_first_use_and_cached(self):
+        code = CodeParams(77, 61)
+        fbl._SCREEN_SNRS.pop((77, 61, Scheme.IR, KernelOptions()), None)
+        g_hi = fbl._screen_snr(code, Scheme.IR)
+        assert fbl._SCREEN_SNRS[(77, 61, Scheme.IR, KernelOptions())] == g_hi == fbl._screen_snr(code, Scheme.IR)
+        env = {**os.environ, "PYTHONPATH": str(Path(fbl.__file__).parents[1])}
+        code = "import harqfbl.cli, harqfbl.fbl as f; print(len(f._SCREEN_SNRS))"
+        loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert loaded.stdout.strip() == "0"
+
+
+class TestKernelPathTypes:
+    def test_round_stepper_rejects_a_kernel_that_is_not_kernel_options(self):
+        for kernel in ("x", None, {"dispersion_units": "nats2"}):
+            with pytest.raises(DomainError, match="KernelOptions"):
+                round_stepper(CodeParams(100, 70), (100,), Scheme.IR, kernel)
+
+    @pytest.mark.parametrize("gamma", ["a", None, 1j, True, [1.0]])
+    def test_snr_must_be_real(self, gamma):
+        with pytest.raises(DomainError, match="real number"):
+            fbl.check_snr(gamma)
 
 
 class TestChannelDispersion:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -391,6 +392,41 @@ class TestBuilderArguments:
         model = build_fixed_sojourn(4, 1.5, *self.GOOD)
         with pytest.raises(DomainError, match="avg_snr"):
             model.with_avg_snr(value)
+
+
+class TestModelShapes:
+    """FsmcModel checks its shapes and q when built; validate() keeps the tolerance checks."""
+
+    @pytest.mark.parametrize("change", [
+        lambda m: {"q": (0.0,) * m.n_states},
+        lambda m: {"q": (-0.1,) + m.q[1:]},
+        lambda m: {"q": (math.nan,) + m.q[1:]},
+        lambda m: {"q": (math.inf,) + m.q[1:]},
+        lambda m: {"transitions": m.transitions[:3]},
+        lambda m: {"transitions": m.transitions[:-1] + (m.transitions[-1][:-1],)},
+        lambda m: {"thresholds": m.thresholds[1:]},
+        lambda m: {"state_snrs": m.state_snrs[:-1]},
+        lambda m: {"q": (), "transitions": (), "state_snrs": (), "thresholds": (math.inf,)},
+    ], ids=["q-zero", "q-negative", "q-nan", "q-inf", "three-rows", "short-row", "thresholds-short",
+            "state-snrs-short", "no-states"])
+    def test_rejected_when_built(self, change):
+        # q all zero used to end in numpy's ValueError inside simulate_harq, three rows in an
+        # IndexError from simulate_harq and outcome_on
+        model = build_fixed_sojourn(13, 3.0446, 0.0338 / 0.00014, 0.00014, 10.0)
+        with pytest.raises(DomainError):
+            replace(model, **change(model))
+
+    def test_from_json_keeps_its_message(self):
+        obj = json.loads(build_equal_duration(4, 100.0, 0.001, 10.0).to_json())
+        obj["P"] = obj["P"][:3]
+        with pytest.raises(DomainError, match="malformed FSMC model JSON.*4 x 4"):
+            FsmcModel.from_json(json.dumps(obj))
+
+    def test_an_unnormalised_q_is_left_to_validate(self):
+        model = build_fixed_sojourn(4, 3.0446, 0.0855 / 0.00014, 0.00014, 10.0)
+        scaled = replace(model, q=tuple(2.0 * p for p in model.q))
+        with pytest.raises(DomainError, match="sum to"):
+            scaled.validate()
 
 
 class TestFromJsonMissingKey:

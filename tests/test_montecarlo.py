@@ -15,6 +15,7 @@ from harqfbl import (
     DomainError,
     FsmcModel,
     HarqConfig,
+    KernelOptions,
     ResourceLimitError,
     Scheme,
     TraceChannel,
@@ -30,7 +31,7 @@ from harqfbl import (
 )
 from harqfbl import fbl, montecarlo
 from harqfbl.fading import FadingOutcomeQuery
-from harqfbl.fbl import round_stepper
+from harqfbl.fbl import _SCREEN_U, _screen_snr, round_stepper
 from harqfbl.montecarlo import (
     _BLOCK,
     _OSCILLATORS_MAX,
@@ -273,6 +274,38 @@ class TestSimulateInputs:
         with pytest.raises(DomainError, match="nan"):
             simulate_harq(cfg, broken, 1_000, 0)
 
+    def test_kernel_must_be_kernel_options(self, fading_setup, channel):
+        # used to raise AttributeError from the stepper
+        with pytest.raises(DomainError, match="KernelOptions"):
+            simulate_harq(fading_setup[0], channel, 1_000, 1, kernel="x")
+
+    @pytest.mark.parametrize("avg_snr", ["a", None, True, 1j])
+    def test_trace_mean_snr_must_be_real(self, fading_setup, avg_snr):
+        # 'a' used to raise TypeError from the comparison with 0
+        cfg, model, _ = fading_setup
+        trace = generate_trace(model.f_d, model.t_tb, 5_000, 1)
+        with pytest.raises(DomainError, match="real number"):
+            simulate_harq(cfg, TraceChannel(trace, avg_snr), 1_000, 1)
+
+    @pytest.mark.parametrize("packet_start", ["continuous", "iid"])
+    def test_trace_samples_are_a_checked_complex_array(self, fading_setup, packet_start):
+        # NaN samples used to answer p_e = 1, and a list failed at the first round-2 gather
+        cfg, model, _ = fading_setup
+        full = generate_trace(model.f_d, model.t_tb, 5_000, 2)
+        as_list = FadingTrace(full.samples.tolist(), full.f_d, full.t_tb, full.seed, full.n_oscillators)
+        assert as_list.samples.dtype == np.complex128 and np.array_equal(as_list.samples, full.samples)
+        assert as_list.synthesised == len(as_list) == 5_000
+        for trace in (full, as_list):
+            assert simulate_harq(cfg, TraceChannel(trace, 1.0), 2_000, 3, packet_start=packet_start) == \
+                simulate_harq(cfg, TraceChannel(full, 1.0), 2_000, 3, packet_start=packet_start)
+        broken = full.samples.copy()
+        broken[4_321] = complex(0.5, math.nan)
+        for samples in (np.full(5_000, complex(math.nan, 0.0)), broken, full.samples.reshape(50, 100), "abc", 1.0):
+            with pytest.raises(DomainError, match="trace samples"):
+                FadingTrace(samples, 10.0, 1e-4, 0, 64)
+        # a trace from generate_trace is not checked, so nothing of it is synthesised early
+        assert generate_trace(model.f_d, model.t_tb, 5_000, 2).synthesised == 0
+
 
 @pytest.fixture(scope="module")
 def l13_model():
@@ -332,9 +365,9 @@ def class_counts(cfg, resolved):
     return np.bincount(resolved, minlength=cfg.m + 1)
 
 
-def dense_resolution(cfg, snrs, u):
+def dense_resolution(cfg, snrs, u, kernel=KernelOptions()):
     """Every round of every packet through the kernel, then the first round j with u >= eps_j, else m."""
-    step, carry = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme)
+    step, carry = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
     eps = []
     for j in range(cfg.m):
         carry, e = step(carry, j, snrs[j])
@@ -398,6 +431,10 @@ SURVIVOR_CFGS = [
     HarqConfig(CodeParams(100, 90), Scheme.CC, 3, (1.0, 1.0, 1.0)),
 ]
 SURVIVOR_IDS = [f"{c.scheme.value}-m{c.m}" for c in SURVIVOR_CFGS]
+KERNELS = [KernelOptions(), KernelOptions("bits2"), KernelOptions(cc_denominator="n_sqrt_v")]
+KERNEL_IDS = ["nats2", "bits2", "n_sqrt_v"]
+# uniforms below, at and above _SCREEN_U, and up to 5e-8, past eps at 0.97 g_hi
+SCREEN_EDGE_U = [0.0, 1e-9, 5e-9, math.nextafter(1e-8, 0.0), 1e-8, 1.1e-8, 1.25e-8, 1.5e-8, 2e-8, 5e-8, 1e-7, 0.5]
 
 
 def counting_kernel(monkeypatch):
@@ -463,6 +500,37 @@ class TestSurvivorRule:
             assert simulate_harq(cfg, channel, 2_000, 4, packet_start=mode) == dense_simulate(cfg, channel, 2_000, 4, mode)
 
     @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    @pytest.mark.parametrize("span", [29, 37, 100, 2_000])
+    def test_many_small_blocks_and_spans(self, fading_setup, monkeypatch, cfg, span):
+        # a continuous run resolves _SPAN offsets at a time: spans shorter than, equal to and
+        # longer than a 37-packet block, and one span for all
+        monkeypatch.setattr(montecarlo, "_BLOCK", 37)
+        monkeypatch.setattr(montecarlo, "_SPAN", span)
+        model = fading_setup[1]
+        trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 2_000 * cfg.m + cfg.m, 4), model.avg_snr)
+        assert simulate_harq(cfg, trace, 2_000, 4) == dense_simulate(cfg, trace, 2_000, 4)
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("block", [37, _BLOCK])
+    def test_matches_the_dense_rule_either_side_of_the_screen_snr(self, monkeypatch, cfg, kernel, block):
+        # round-1 SNRs within 3 % of g_hi, on both sides, and uniforms on both sides of _SCREEN_U
+        # and of the exact eps there (about 1.2e-8 at 0.99 g_hi): every packet as the dense rule
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        g_hi = _screen_snr(cfg.code, cfg.scheme, kernel)
+        near = g_hi * (1.0 + np.linspace(-0.03, 0.03, 61))
+        g0 = np.concatenate([near, [math.nextafter(g_hi, 0.0), g_hi, math.nextafter(g_hi, math.inf),
+                                    0.0, math.inf, math.nan]])
+        g0, u = (a.ravel() for a in np.meshgrid(g0, SCREEN_EDGE_U))
+        rng = np.random.default_rng(1)
+        snrs = [g0] + [rng.exponential(g_hi, len(g0)) for _ in range(cfg.m - 1)]
+        stepper = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
+        got = montecarlo._first_success(stepper, g_hi, lambda lo, hi: u[lo:hi],
+                                        lambda j, i: snrs[j][i], len(u), cfg.m)
+        assert np.array_equal(got, dense_resolution(cfg, snrs, u, kernel))
+        assert set(got[(g0 >= g_hi) & (u >= _SCREEN_U)]) == {0}
+
+    @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
     @pytest.mark.parametrize("snr", [0.0, math.inf])
     def test_zero_and_infinite_snr(self, fading_setup, cfg, snr):
         model = fading_setup[1]
@@ -474,13 +542,13 @@ class TestSurvivorRule:
 
     @pytest.mark.parametrize("mode", ["iid", "continuous"])
     def test_blocks_decoded_in_round_one_stop_there(self, fading_setup, monkeypatch, mode):
-        # at an infinite SNR every packet of every block decodes in round 1:
-        # one kernel value per packet, and no trace offset past the packets
+        # at an infinite SNR every packet of every block decodes in round 1, decided
+        # from its SNR alone: no kernel value, and no trace offset past the packets
         cfg, model = SURVIVOR_CFGS[2], fading_setup[1]
         trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 4 * _BLOCK, 8), math.inf)
         evals = counting_kernel(monkeypatch)
         assert simulate_harq(cfg, trace, 2 * _BLOCK + 3, 8, packet_start=mode).outcome.p[0] == 1.0
-        assert sum(evals) == 2 * _BLOCK + 3
+        assert sum(evals) == 0
 
     @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
     def test_trace_prefix_extension_and_exhaustion(self, fading_setup, cfg):
