@@ -10,7 +10,9 @@ quartiles from statistics.quantiles(n=4), spread (Q3 - Q1) / median) and per
 pair (in how many pairs the change beat the parent).  Three alternating
 tier-1 runs per side and one traced run of each checkout per --traced
 workload follow.  The result goes to one JSON file, in the layout of
-BENCH_10.json.
+BENCH_10.json.  It records which bytecode caches (src/harqfbl/__pycache__,
+harqbench/__pycache__) each checkout holds, and the comparison stops before
+its first run when the two sides differ.
 
     python3 scripts/bench_pairs.py ../parent --traced paper_artifacts \\
         --describes "what the change does" --out BENCH_14.json
@@ -37,6 +39,20 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 PAIRS = 10  # seeds 1..10, the protocol of harqbench/README.md
 TIER1_RUNS = 3  # per side, alternating
 TRACED_SEED = 11  # outside the paired seeds
+# a checkout holding compiled bytecode skips compiling these at start-up, which shows in setup_s
+CACHES = ("src/harqfbl/__pycache__", "harqbench/__pycache__")
+
+
+def bytecode_caches(parent: Path, change: Path) -> dict[str, list[str]]:
+    """The CACHES each checkout holds; stops when the two sides differ, as their set-up times would."""
+    found = {label: [c for c in CACHES if (checkout / c).is_dir()]
+             for label, checkout in (("parent", parent), ("change", change))}
+    if found["parent"] != found["change"]:
+        stale = " ".join(str(checkout / c) for label, checkout in (("parent", parent), ("change", change))
+                         for c in found[label])
+        raise SystemExit(f"the checkouts hold different bytecode caches ({found}); remove them with\n"
+                         f"    rm -rf {stale}\nand run with PYTHONDONTWRITEBYTECODE=1 so that no run writes one")
+    return found
 
 
 def in_turn(i: int, parent: Path, change: Path) -> tuple[tuple[str, Path], ...]:
@@ -131,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                      f"{args.seconds:g} --trace 0, seeds 1-{PAIRS}, run in pairs with the parent "
                      "checkout, alternating which side goes first (harqbench/README.md, 'Comparing two "
                      "checkouts'); last line of each run kept; scripts/bench_pairs.py"),
+        "bytecode_caches": bytecode_caches(parent, change),
         "workloads": {},
         "parent_workloads": {},
         "versus_parent": {},

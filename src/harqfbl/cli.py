@@ -184,7 +184,7 @@ def cmd_delay(cfg: dict[str, Any]) -> int:
         for k in ks:
             harq = _harq_config(cfg, k=k, scheme=scheme)
             stream = stream_delay(single_packet_delay(harq, outcome_on(harq, channel, kernel)), n_packets)
-            for x, tail in overhead_ccdf(stream, n_packets):
+            for x, tail in overhead_ccdf(stream, n_packets).tolist():
                 rows.append([scheme, str(k), *harq.taus[1:], x, tail, stream.pruned_mass])
     _write_table(cfg, "delay", ["scheme", "k", *_tau_columns(cfg["m"]), "overhead", "ccdf", "pruned_mass"], rows)
     return EXIT_OK

@@ -7,7 +7,8 @@ the two-round binomial closed form can be matched atom for atom, and every
 overhead is a correctly rounded ratio of exact integers.  A stream of N
 packets whose single-packet PMF has at most three atoms (every scheme with
 m <= 3) is the multinomial law of the atom counts, evaluated in closed
-form; longer PMFs take the exact N-fold lattice convolution.
+form and scattered onto the lattice in blocks of count tuples; longer PMFs
+take the exact N-fold lattice convolution.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def _convolution_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, f
 # in which every term is small: no large logarithms cancel.
 _LOG_UNDERFLOW = -746.0  # exp() of anything lower is 0.0 in double precision
 _TUPLES_PER_ATOM = 64  # count tuples the closed form may evaluate per budgeted atom
+_TUPLE_BLOCK = 2**14  # count tuples scattered at once
+_PROBES = 512  # counts a window search tests per step, shared among its rows
 _S_TABLE = np.array([math.lgamma(c + 1) - c * math.log(c) + c if c else 0.0 for c in range(16)])
 
 
@@ -171,24 +174,32 @@ def _window(k: np.ndarray, n: np.ndarray, mu_u: float, mu_v: float, thr: float):
     """Per row, the counts c of [lo, hi] where k - term(n - c, mu_u) - term(c, mu_v) >= thr.
 
     The log mass is concave in c, so that set is one interval around the
-    binomial mode; both ends are found by bisection.  Empty rows get lo > hi.
+    binomial mode.  Both ends are searched from the mode: a step tests
+    max(1, 512 // rows) evenly spaced counts between the last count known
+    above thr and the first known below (one row takes about three steps,
+    not seventeen; over 256 rows bisect).  The test is monotone on each side of
+    the mode, so the search ends where bisection ends.  Empty rows get lo > hi.
     """
+    mode = np.clip(np.floor((n + 1) * (mu_v / (mu_u + mu_v))).astype(np.int64), 0, n)
+    # both ends at once: the first copy of the rows searches down to 0, the second up to n
+    inside, outside = np.tile(mode, 2), np.concatenate((np.zeros_like(n), n))
+    kk, nn = np.tile(k, 2)[:, None], np.tile(n, 2)[:, None]
+    j = np.arange(1, max(1, _PROBES // max(1, len(k))) + 1)  # no rows when every mass underflows
+    rows = np.arange(len(inside))
 
     def above(c):
-        return k - _term(n - c, mu_u) - _term(c, mu_v) >= thr
+        return kk - _term(nn - c, mu_u) - _term(c, mu_v) >= thr
 
-    def edge(inside, outside):
-        # the last count from inside towards outside that stays above thr
-        done = above(outside)
-        while np.any(np.abs(outside - inside) > 1):
-            mid = (inside + outside) // 2
-            ok = above(mid)
-            inside, outside = np.where(ok, mid, inside), np.where(ok, outside, mid)
-        return np.where(done, outside, inside)
-
-    mode = np.clip(np.floor((n + 1) * (mu_v / (mu_u + mu_v))).astype(np.int64), 0, n)
-    lo, hi = edge(mode, np.zeros_like(n)), edge(mode, n)
-    return lo, np.where(above(mode), hi, lo - 1)
+    first = above(np.column_stack((inside, outside)))
+    while np.any(np.abs(outside - inside) > 1):
+        gap = outside - inside
+        probe = inside[:, None] + np.sign(gap)[:, None] * (np.abs(gap)[:, None] * j // (len(j) + 1))
+        ok = np.count_nonzero(above(probe), axis=1)  # the probes above thr come first
+        inside = np.where(ok > 0, probe[rows, ok - 1], inside)
+        outside = np.where(ok < len(j), probe[rows, np.minimum(ok, len(j) - 1)], outside)
+    # the last count from the mode towards each end that stays above thr
+    lo, hi = np.split(np.where(first[:, 1], outside, inside), 2)
+    return lo, np.where(first[: len(k), 0], hi, lo - 1)
 
 
 def _multinomial_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, float]:
@@ -202,6 +213,13 @@ def _multinomial_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, f
     points) exceeds the budget, no O(n) array is made: counts of mass below
     PRUNE_MASS are dropped and their mass (down to PRUNE_MASS**2) reported,
     and a window that stays over budget raises.
+
+    The kept count tuples go onto the lattice _TUPLE_BLOCK at a time, row by
+    row, through np.add.at, which adds in input order; no row hits a point
+    twice, so each point sums its rows in row order however the blocks fall,
+    bit for bit as a loop over the rows would (np.bincount per block would
+    regroup).  Memory is O(block + lattice width + one row, whose pruned
+    tails are each summed whole).
     """
     idx = np.flatnonzero(base.mass)
     w = base.mass[idx]
@@ -258,18 +276,24 @@ def _multinomial_power(base: _Lattice, n: int, budget: int) -> tuple[_Lattice, f
     v0, u0 = int(lo[live].min()), int((n_rows - hi)[live].min())
     t_v = _term(np.arange(v0, int(hi[live].max()) + 1), mu[v])
     t_u = _term(np.arange(u0, int((n_rows - lo)[live].max()) + 1), mu[u])
+    # number the kept counts a..b of the rows one after another: row sel[i] holds first[i] .. end[i] - 1
+    a, b = np.maximum(klo, lo), np.minimum(khi, hi)
+    sel = np.flatnonzero(live & (a <= b))
+    end = np.cumsum(b[sel] - a[sel] + 1)
+    first, total = end - (b[sel] - a[sel] + 1), int(end[-1]) if len(end) else 0
     acc = np.zeros(width)
+    for t0 in range(0, total, _TUPLE_BLOCK):
+        t1 = min(t0 + _TUPLE_BLOCK, total)
+        i, j = np.searchsorted(end, (t0, t1 - 1), side="right") + (0, 1)
+        r, reps = sel[i:j], np.minimum(end[i:j], t1) - np.maximum(first[i:j], t0)
+        c = np.arange(t0, t1) - np.repeat(first[i:j] - a[r], reps)
+        kr, nr = np.repeat(k_rows[r], reps), np.repeat(n_rows[r], reps)
+        np.add.at(acc, np.repeat(starts[r] - origin, reps) + c * d, np.exp(kr - t_v[c - v0] - t_u[nr - c - u0]))
     pruned = 0.0
-    for kr, nr, s, l, h, kl, kh in zip(k_rows[live], n_rows[live], starts[live], lo[live],
-                                       hi[live], klo[live], khi[live]):
-        mass = np.exp(kr - t_v[l - v0 : h - v0 + 1] - t_u[nr - h - u0 : nr - l - u0 + 1][::-1])
-        kl, kh = max(kl, l), min(kh, h)
-        if kl <= kh:
-            first = s + kl * d - origin
-            acc[first : first + (kh - kl) * d + 1 : d] += mass[kl - l : kh - l + 1]
-            pruned += float(mass[: kl - l].sum() + mass[kh - l + 1 :].sum())
-        else:
-            pruned += float(mass.sum())
+    if bounded:  # each row's pruned tails, each summed whole
+        for kr, nr, l, h, kl, kh in zip(k_rows[live], n_rows[live], lo[live], hi[live], a[live], b[live]):
+            m = np.exp(kr - t_v[l - v0 : h - v0 + 1] - t_u[nr - h - u0 : nr - l - u0 + 1][::-1])
+            pruned += float(m[: kl - l].sum() + m[kh - l + 1 :].sum() if kl <= kh else m.sum())
     return _Lattice(base.offset * n + origin, acc), pruned
 
 
@@ -336,11 +360,13 @@ def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float)
     return DelayPmf(support, [atoms[d] for d in support])
 
 
-def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]:
+def overhead_ccdf(stream: DelayPmf, n_packets: int) -> np.ndarray:
     """Tail distribution of the per-packet delay overhead (d - N) / N.
 
-    Zero overhead means every packet went through on its first try; the
-    curve starts at 1 below the smallest support point and ends at 0.
+    One row (overhead, P(overhead > it)) per support point, as a float
+    (atoms x 2) array.  Zero overhead means every packet went through on its
+    first try; the curve starts at 1 below the smallest support point and
+    ends at 0.
     """
     check_length("packet count n_packets", n_packets)
     scale = int(n_packets) * stream.denom
@@ -350,5 +376,4 @@ def overhead_ccdf(stream: DelayPmf, n_packets: int) -> list[tuple[float, float]]
     tails = np.minimum(np.append(np.cumsum(stream.mass[:0:-1])[::-1], 0.0), 1.0)
     # both operands are exact below 2**53, so each quotient is correctly
     # rounded: float((d - N) / N) for the fraction d = ticks / denom
-    overhead = (stream.ticks - scale) / scale
-    return list(zip(overhead.tolist(), tails.tolist()))
+    return np.column_stack(((stream.ticks - scale) / scale, tails))

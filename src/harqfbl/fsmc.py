@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import ConstructionError, DomainError
-from .fbl import check_length, db_to_linear, linear_to_db
+from .fbl import check_length, check_real, db_to_linear, linear_to_db
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -184,6 +184,8 @@ class FsmcModel:
         if (len(self.thresholds), len(self.state_snrs), len(self.transitions)) != (L + 1, L, L) or \
                 any(len(row) != L for row in self.transitions):
             raise DomainError(f"{L} states need {L + 1} thresholds, {L} state SNRs and a {L} x {L} transition matrix")
+        for x in (*self.q, *self.state_snrs):
+            check_real("every q and state SNR entry", x)
         if not (all(0.0 <= p < math.inf for p in self.q) and sum(self.q) > 0.0):
             raise DomainError(f"state probabilities q must be finite and nonnegative with a positive sum, got {self.q}")
 

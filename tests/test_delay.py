@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -170,6 +171,8 @@ def aligned(a, b):
 # a 58-point lattice per packet, as in the three-round IR designs
 THREE_ATOMS = DelayPmf((Fraction(1), Fraction(137, 100), Fraction(157, 100)), (0.7, 0.2, 0.1))
 TWO_ATOMS = DelayPmf((Fraction(1), Fraction(7, 5)), (0.8, 0.2))
+# three atoms on a three-point lattice: many count tuples share an atom
+NARROW = DelayPmf((Fraction(1), Fraction(2), Fraction(3)), (0.75, 0.125, 0.125))
 
 
 class TestClosedForm:
@@ -283,6 +286,175 @@ class TestClosedForm:
             overhead_ccdf(TWO_ATOMS, 2**60)
         with pytest.raises(ResourceLimitError, match="2\\*\\*53"):
             DelayPmf((1, Fraction(2**53, 3)), (0.5, 0.5))
+
+
+def bisect_window(k, n, mu_u, mu_v, thr):
+    """The oracle for delay._window: both ends of each row by plain bisection."""
+
+    def above(c):
+        return k - delay._term(n - c, mu_u) - delay._term(c, mu_v) >= thr
+
+    def edge(inside, outside):
+        done = above(outside)
+        while np.any(np.abs(outside - inside) > 1):
+            mid = (inside + outside) // 2
+            ok = above(mid)
+            inside, outside = np.where(ok, mid, inside), np.where(ok, outside, mid)
+        return np.where(done, outside, inside)
+
+    mode = np.clip(np.floor((n + 1) * (mu_v / (mu_u + mu_v))).astype(np.int64), 0, n)
+    lo, hi = edge(mode, np.zeros_like(n)), edge(mode, n)
+    return lo, np.where(above(mode), hi, lo - 1)
+
+
+def loop_power(base, n, budget):
+    """The oracle for delay._multinomial_power: bisection windows and one loop over the rows."""
+    idx = np.flatnonzero(base.mass)
+    w = base.mass[idx]
+    if len(idx) == 1:
+        return delay._Lattice((base.offset + int(idx[0])) * n, w**n), 0.0
+    width = n * (len(base.mass) - 1) + 1
+    bounded = width > budget
+    keep = math.log(delay.PRUNE_MASS) if bounded else delay._LOG_UNDERFLOW
+    floor = 2.0 * keep if bounded else keep
+    mu = n * w
+    u, v = len(idx) - 2, len(idx) - 1
+    d = int(idx[v] - idx[u])
+    k = float(delay._term(n, float(n))) + n * math.fsum([*w.tolist(), -1.0])
+    if len(idx) == 2:
+        k_rows, n_rows = np.array([k]), np.array([n], dtype=np.int64)
+        starts = n_rows * int(idx[u])
+    else:
+        (r_lo,), (r_hi,) = bisect_window(np.array([k]), np.array([n]), mu[1] + mu[2], mu[0], floor)
+        if r_hi - r_lo >= budget:
+            raise ResourceLimitError("rows of counts")
+        rows = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+        k_rows, n_rows = k - delay._term(rows, mu[0]), n - rows
+        starts = rows * int(idx[0]) + n_rows * int(idx[u])
+    origin = 0
+    if bounded:
+        klo, khi = bisect_window(k_rows, n_rows, mu[u], mu[v], keep)
+        kept = klo <= khi
+        if not kept.any():
+            raise ResourceLimitError("all probability mass pruned")
+        origin = int((starts + klo * d)[kept].min())
+        width = int((starts + khi * d)[kept].max()) - origin + 1
+        if width > budget:
+            raise ResourceLimitError("stream lattice spans")
+    lo, hi = bisect_window(k_rows, n_rows, mu[u], mu[v], floor)
+    if not bounded:
+        klo, khi = lo, hi
+    live = lo <= hi
+    if not live.any():
+        raise DomainError("every mass of the stream underflows to 0")
+    if int((hi - lo + 1)[live].sum()) > delay._TUPLES_PER_ATOM * budget:
+        raise ResourceLimitError("count tuples")
+    v0, u0 = int(lo[live].min()), int((n_rows - hi)[live].min())
+    t_v = delay._term(np.arange(v0, int(hi[live].max()) + 1), mu[v])
+    t_u = delay._term(np.arange(u0, int((n_rows - lo)[live].max()) + 1), mu[u])
+    acc = np.zeros(width)
+    pruned = 0.0
+    for kr, nr, s, l, h, kl, kh in zip(k_rows[live], n_rows[live], starts[live], lo[live],
+                                       hi[live], klo[live], khi[live]):
+        mass = np.exp(kr - t_v[l - v0 : h - v0 + 1] - t_u[nr - h - u0 : nr - l - u0 + 1][::-1])
+        kl, kh = max(kl, l), min(kh, h)
+        if kl <= kh:
+            first = s + kl * d - origin
+            acc[first : first + (kh - kl) * d + 1 : d] += mass[kl - l : kh - l + 1]
+            pruned += float(mass[: kl - l].sum() + mass[kh - l + 1 :].sum())
+        else:
+            pruned += float(mass.sum())
+    return delay._Lattice(base.offset * n + origin, acc), pruned
+
+
+def stream_or_error(pmf, n_packets, atom_budget):
+    try:
+        s = stream_delay(pmf, n_packets, atom_budget)
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc)
+    return s.ticks.tolist(), s.mass.tobytes(), s.pruned_mass
+
+
+@st.composite
+def closed_form_streams(draw):
+    """A two- or three-atom PMF, a packet count, a budget that may bound the window, a tuple block."""
+    atoms = draw(st.sampled_from([2, 3]))
+    ticks = sorted(draw(st.sets(st.integers(100, 160), min_size=atoms, max_size=atoms)))
+    weights = [draw(st.floats(1e-4, 1.0)) for _ in range(atoms)]
+    block = draw(st.sampled_from([1, 7, delay._TUPLE_BLOCK]))
+    n_max = {1: 40, 7: 1500}.get(block, 100_000 if atoms == 2 else 5_000)
+    n_packets = draw(st.integers(1, n_max))
+    width = n_packets * (ticks[-1] - ticks[0]) // math.gcd(*(t - ticks[0] for t in ticks)) + 1
+    budget = draw(st.sampled_from([delay.DEFAULT_ATOM_BUDGET, max(2, width - 1), max(2, width // 3)]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-100, 1e-300]))  # small totals underflow whole rows
+    pmf = DelayPmf([Fraction(t, 100) for t in ticks], [scale * x / sum(weights) for x in weights])
+    return pmf, n_packets, budget, block
+
+
+class TestScatterOracle:
+    """The blocked scatter and the probe window against the row loop and bisection, bit for bit."""
+
+    @given(closed_form_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_stream_matches_the_row_loop(self, case):
+        pmf, n_packets, budget, block = case
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(delay, "_TUPLE_BLOCK", block)
+            got = stream_or_error(pmf, n_packets, budget)
+            mp_.setattr(delay, "_multinomial_power", loop_power)
+            want = stream_or_error(pmf, n_packets, budget)
+        assert got == want
+
+    @pytest.mark.parametrize("pmf, n_packets, budget, block", [
+        *(pytest.param(pmf, n, budget, block, id=f"{name}-block{block}")
+          for name, pmf, n, budget in [("m2-bounded", TWO_ATOMS, 2000, 500),
+                                       ("m3-bounded", THREE_ATOMS, 120, 4000),
+                                       ("m3", THREE_ATOMS, 120, delay.DEFAULT_ATOM_BUDGET),
+                                       ("m3-narrow-bounded", NARROW, 400, 300)]
+          for block in (1, 7, delay._TUPLE_BLOCK)),
+        # 80,291 tuples in five blocks, with lattice points that rows of every block add to
+        pytest.param(NARROW, 400, delay.DEFAULT_ATOM_BUDGET, delay._TUPLE_BLOCK, id="m3-narrow-five-blocks"),
+    ])
+    def test_fixed_streams_match_the_row_loop(self, pmf, n_packets, budget, block, monkeypatch):
+        monkeypatch.setattr(delay, "_TUPLE_BLOCK", block)
+        got = stream_or_error(pmf, n_packets, budget)
+        monkeypatch.setattr(delay, "_multinomial_power", loop_power)
+        assert got == stream_or_error(pmf, n_packets, budget)
+        assert isinstance(got, tuple) and (got[2] > 0.0) == (budget < delay.DEFAULT_ATOM_BUDGET)
+
+    @given(st.integers(1, 10**7), st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3),
+           st.integers(1, 2000), st.floats(0.0, 1.0), st.sampled_from([-746.0, math.log(1e-15), 2 * math.log(1e-15)]))
+    @settings(max_examples=150, deadline=None)
+    def test_window_matches_bisection(self, n, weights, n_rows, at, thr):
+        w = np.array(weights) / sum(weights)
+        mu = n * w
+        k = float(delay._term(n, float(n))) + n * math.fsum([*w.tolist(), -1.0])
+        first = int(at * max(0, n + 1 - n_rows))
+        rows = np.arange(first, min(n, first + n_rows - 1) + 1, dtype=np.int64)
+        args = (k - delay._term(rows, mu[0]), n - rows, mu[1], mu[2], thr)
+        for got, want in zip(delay._window(*args), bisect_window(*args)):
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("mass", [(1e-300, 1e-300), (1e-300, 1e-300, 1e-300)], ids=["m2", "m3"])
+    def test_a_stream_whose_every_mass_underflows_raises(self, mass):
+        # with three atoms no row of counts is left, and the window search gets none
+        with pytest.raises(DomainError, match="underflows"):
+            stream_delay(DelayPmf((1, 2, 3)[: len(mass)], mass), 1000)
+
+    def test_scatter_memory_is_block_and_lattice(self, monkeypatch):
+        # 1,038,354 kept count tuples land on a lattice of 2,432 points: the flat
+        # arrays of all of them at once would take some 50 MB
+        block = 2**14
+        monkeypatch.setattr(delay, "_TUPLE_BLOCK", block)
+        tracemalloc.start()
+        try:
+            stream = stream_delay(NARROW, 64_000, atom_budget=64_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = int(stream.ticks[-1] - stream.ticks[0]) + 1
+        assert 0.0 < stream.pruned_mass and width < 3_000
+        assert peak < 16 * (block + width) * 8
 
 
 class TestCountsAndParameters:

@@ -407,8 +407,10 @@ class TestModelShapes:
         lambda m: {"thresholds": m.thresholds[1:]},
         lambda m: {"state_snrs": m.state_snrs[:-1]},
         lambda m: {"q": (), "transitions": (), "state_snrs": (), "thresholds": (math.inf,)},
+        lambda m: {"q": ("a",) + m.q[1:]},
+        lambda m: {"state_snrs": m.state_snrs[:-1] + ("x",)},
     ], ids=["q-zero", "q-negative", "q-nan", "q-inf", "three-rows", "short-row", "thresholds-short",
-            "state-snrs-short", "no-states"])
+            "state-snrs-short", "no-states", "q-string", "state-snr-string"])
     def test_rejected_when_built(self, change):
         # q all zero used to end in numpy's ValueError inside simulate_harq, three rows in an
         # IndexError from simulate_harq and outcome_on
@@ -416,10 +418,23 @@ class TestModelShapes:
         with pytest.raises(DomainError):
             replace(model, **change(model))
 
+    @pytest.mark.parametrize("q, snrs", [(("a",), (1.0,)), ((1.0,), ("x",)), ((True,), (1.0,))],
+                             ids=["q-string", "state-snr-string", "q-bool"])
+    def test_one_state_entries_must_be_real(self, q, snrs):
+        # a string q raised TypeError, and a one-state model with SNR 'x' passed validate()
+        with pytest.raises(DomainError, match="must be a real number"):
+            FsmcModel((0.0, math.inf), q, ((1.0,),), snrs, 1.0, 10.0, 1e-4, 5.0)
+
     def test_from_json_keeps_its_message(self):
         obj = json.loads(build_equal_duration(4, 100.0, 0.001, 10.0).to_json())
         obj["P"] = obj["P"][:3]
         with pytest.raises(DomainError, match="malformed FSMC model JSON.*4 x 4"):
+            FsmcModel.from_json(json.dumps(obj))
+
+    def test_from_json_wraps_a_non_numeric_q(self):
+        obj = json.loads(build_equal_duration(4, 100.0, 0.001, 10.0).to_json())
+        obj["q"][0] = "a"
+        with pytest.raises(DomainError, match="malformed FSMC model JSON.*real number"):
             FsmcModel.from_json(json.dumps(obj))
 
     def test_an_unnormalised_q_is_left_to_validate(self):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from harqfbl import fbl
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -42,6 +44,20 @@ def test_bench_pairs_counts_wins_and_flags_regressions():
     assert cmp["change_failed_share"] == 0.0
     s = bench.summary([1.0, 2.0, 3.0, 4.0, 5.0])
     assert (s["median"], s["q1"], s["q3"]) == (3.0, 1.5, 4.5)
+
+
+def test_bench_pairs_refuses_mismatched_bytecode_caches(tmp_path):
+    bench = load_script("bench_pairs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "harqfbl").mkdir(parents=True)
+        (checkout / "harqbench").mkdir()
+    assert bench.bytecode_caches(parent, change) == {"parent": [], "change": []}
+    (change / "src" / "harqfbl" / "__pycache__").mkdir()
+    with pytest.raises(SystemExit, match="rm -rf .*change/src/harqfbl/__pycache__"):
+        bench.bytecode_caches(parent, change)
+    (parent / "src" / "harqfbl" / "__pycache__").mkdir()
+    assert bench.bytecode_caches(parent, change)["parent"] == ["src/harqfbl/__pycache__"]
 
 
 def test_fit_erfc_reproduces_the_kernel_table(capsys):
