@@ -10,9 +10,10 @@ quartiles from statistics.quantiles(n=4), spread (Q3 - Q1) / median) and per
 pair (in how many pairs the change beat the parent).  Three alternating
 tier-1 runs per side and one traced run of each checkout per --traced
 workload follow.  The result goes to one JSON file, in the layout of
-BENCH_10.json.  It records which bytecode caches (src/harqfbl/__pycache__,
-harqbench/__pycache__) each checkout holds, and the comparison stops before
-its first run when the two sides differ.
+BENCH_10.json.  It records each side's line count of src/harqfbl/*.py (the
+tracked size of the package) and which bytecode caches (src/harqfbl/__pycache__,
+harqbench/__pycache__) each checkout holds; the comparison stops before its
+first run when the caches of the two sides differ.
 
     python3 scripts/bench_pairs.py ../parent --traced paper_artifacts \\
         --describes "what the change does" --out BENCH_14.json
@@ -53,6 +54,11 @@ def bytecode_caches(parent: Path, change: Path) -> dict[str, list[str]]:
         raise SystemExit(f"the checkouts hold different bytecode caches ({found}); remove them with\n"
                          f"    rm -rf {stale}\nand run with PYTHONDONTWRITEBYTECODE=1 so that no run writes one")
     return found
+
+
+def source_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/harqfbl/*.py, as wc -l counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "harqfbl").glob("*.py"))
 
 
 def in_turn(i: int, parent: Path, change: Path) -> tuple[tuple[str, Path], ...]:
@@ -148,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
                      "checkout, alternating which side goes first (harqbench/README.md, 'Comparing two "
                      "checkouts'); last line of each run kept; scripts/bench_pairs.py"),
         "bytecode_caches": bytecode_caches(parent, change),
+        "src_lines": {"parent": source_lines(parent), "change": source_lines(change)},
         "workloads": {},
         "parent_workloads": {},
         "versus_parent": {},

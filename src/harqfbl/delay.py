@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .fbl import check_length
+from .fbl import check_length, check_real
 from .outcomes import HarqConfig, OutcomeDistribution
 
 _TAU_DENOMINATOR_LIMIT = 1_000_000
@@ -74,6 +74,9 @@ class DelayPmf:
             raise DomainError("support must be strictly increasing")
         if not np.all((mass >= 0.0) & (mass < math.inf)):  # NaN fails too
             raise DomainError("masses must be nonnegative and finite")
+        check_real("pruned mass", pruned_mass)
+        if not 0.0 <= pruned_mass < math.inf:
+            raise DomainError(f"pruned mass must be nonnegative and finite, got {pruned_mass}")
         ticks.flags.writeable = mass.flags.writeable = False
         self.ticks, self.denom, self.mass, self.pruned_mass = ticks, denom, mass, pruned_mass
 
@@ -92,6 +95,8 @@ def single_packet_delay(cfg: HarqConfig, outcome: OutcomeDistribution) -> DelayP
     A success at the last round and an exhausted packet take the same time,
     so their masses merge on one support point.
     """
+    if len(outcome.p) != cfg.m:
+        raise DomainError(f"expected {cfg.m} success probabilities, got {len(outcome.p)}")
     mass = [*outcome.p[: cfg.m - 1], outcome.p[cfg.m - 1] + outcome.p_e]
     return DelayPmf(accumulate(_as_fraction(t) for t in cfg.taus), mass)
 
@@ -316,6 +321,7 @@ def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_
     Fraction(7, 5)), (0.8, 0.2)), 10**8).total - 1 is 5.55e-9.
     """
     check_length("packet count n_packets", n_packets)
+    check_length("atom budget atom_budget", atom_budget)
     ticks = pmf.ticks
     if int(n_packets) * int(ticks[-1]) >= _EXACT_TICKS:
         raise ResourceLimitError(f"{n_packets} packets reach 2**53 ticks of 1/{pmf.denom} slot")

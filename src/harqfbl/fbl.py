@@ -13,9 +13,9 @@ round_stepper is the one place the Q-function argument is evaluated, on
 numpy arrays over tau candidates x state paths or over packets.  per_cc,
 per_ir, the path walk outcomes.prefix_error_grid and the Monte Carlo
 simulator all call it; _erfc, one numpy form for every array size, gives the
-Gaussian tail without scipy, so every probability lies in [0, 1].  Given the
-packets' uniforms, _eps skips the tail where it cannot change a decision, and
-_screen_snr gives the round-1 SNR from which that holds for every packet.
+Gaussian tail without scipy, so every probability lies in [0, 1].  _screen_snr
+gives the round-1 SNR from which every packet whose uniform is u >= 1e-8 decodes
+in round 1, so that the simulator decides it without the kernel.
 """
 
 from __future__ import annotations
@@ -224,35 +224,24 @@ def _erfc(x) -> np.ndarray:
     return out.reshape(shape)
 
 
-# The tail screen of _eps: 0.5 * erfc(4) = 7.7e-9, _erfc is within 7 ulp of erfc and erfc
-# decreases, so an argument x >= _SCREEN_X has a computed eps below _SCREEN_U
+# The SNR screen: 0.5 * erfc(4) = 7.7e-9, _erfc is within 7 ulp of erfc and erfc decreases,
+# so a Q argument x >= _SCREEN_X has a computed eps below _SCREEN_U
 _SCREEN_X = 4.0
 _SCREEN_U = 1e-8
 
 
-def _eps(cap, k: int, numerator, d, denom, u=None) -> np.ndarray:
-    """Q(numerator / denom) = erfc(x) / 2 (no scipy); zero dispersion d decides on cap > k.
-
-    With the uniforms u (of x's shape) of a decision u >= eps, an element with x >= _SCREEN_X and
-    u >= _SCREEN_U gets eps 0 without _erfc: its computed eps is below _SCREEN_U <= u,
-    so the decision is the same.  Such an eps is then valid only for that decision.
-    NaN fails both comparisons and takes _erfc."""
+def _eps(cap, k: int, numerator, d, denom) -> np.ndarray:
+    # Q(numerator / denom) = erfc(x) / 2 (no scipy); zero dispersion d decides on cap > k
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.asarray(numerator / denom) / _SQRT2
     del numerator, denom  # the caller's temporaries: not held while _erfc runs
-    if u is None:
-        q = _erfc(x)
-    else:
-        live = ~((x >= _SCREEN_X) & (u >= _SCREEN_U))
-        x = _erfc(x[live])  # the whole x is no longer held either
-        q = np.zeros(live.shape)
-        q[live] = x
+    q = _erfc(x)
     q *= 0.5  # in place: a 0-d array stays an array
     np.copyto(q, cap <= k, where=d == 0.0)
     return q
 
 
-def _screen_margin(cap, k: int, numerator, d, denom, u=None) -> np.ndarray:
+def _screen_margin(cap, k: int, numerator, d, denom) -> np.ndarray:
     # >= 0 where x clears _SCREEN_X by 1e-9 (1 + (cap + k) / denom), a million times x's rounding
     # error (a few ulp of cap, k and log2 n over denom); zero dispersion gives NaN, never >= 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -263,10 +252,11 @@ _SCREEN_SNRS: dict = {}  # (n, k, scheme, kernel) -> _screen_snr's answer
 
 
 def _screen_snr(code: CodeParams, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL) -> float:
-    """g_hi: from it on, round 1's computed Q argument x is >= _SCREEN_X, so _eps's tail screen
-    decides in round 1 every packet with SNR >= g_hi and u >= _SCREEN_U.  Round 1 sends n symbols,
-    and x(g) = (A ln(1 + g) - B) / sqrt(C (1 - (1 + g)^-2)), A, C > 0, B = k - log2 n, has x' of the
-    sign of A ((1 + g)^2 - 1 - ln(1 + g)) + B: x increases when k >= log2 n.  g_hi is the float that
+    """g_hi: from it on, round 1's computed Q argument x is >= _SCREEN_X, so its computed eps is
+    below _SCREEN_U, and a packet with SNR >= g_hi and uniform u >= _SCREEN_U decodes in round 1
+    (u >= eps) without the kernel.  Round 1 sends n symbols, and x(g) = (A ln(1 + g) - B) /
+    sqrt(C (1 - (1 + g)^-2)), A, C > 0, B = k - log2 n, has x' of the sign of
+    A ((1 + g)^2 - 1 - ln(1 + g)) + B: x increases when k >= log2 n.  g_hi is the float that
     bisection on bit patterns finds where round 1's own step clears _screen_margin; with
     k < log2 n, or no finite g clearing it, g_hi is inf.  Cached; computed on first use."""
     key = (code.n, code.k, scheme, kernel)
@@ -289,7 +279,7 @@ def _screen_snr(code: CodeParams, scheme: Scheme, kernel: KernelOptions = DEFAUL
 def round_stepper(
     code: CodeParams, lengths, scheme: Scheme, kernel: KernelOptions = DEFAULT_KERNEL, tail=None
 ) -> tuple[Callable, object]:
-    """The finite-blocklength kernel as step(carry, depth, gamma, u=None) -> (carry, eps).
+    """The finite-blocklength kernel as step(carry, depth, gamma) -> (carry, eps).
 
     step adds round `depth` (0-based), received at SNR gamma, to the carry of
     the rounds before it and returns the new carry with the decoder error
@@ -303,9 +293,8 @@ def round_stepper(
     incremental redundancy carries the accumulated capacity and dispersion
     (nats^2, scaled at evaluation) of lengths[0..depth].  Zero dispersion
     decides on capacity against k, and an infinite SNR gives eps = 0.
-    Given the packets' uniforms u, eps is valid only for the decision u >= eps
-    (see _eps); the path walk never passes u.  Callers validate the SNRs.  tail
-    (_eps by default) maps the terms (cap, k, numerator, d, denom, u) to step's eps.
+    Callers validate the SNRs.  tail (_eps by default) maps the terms
+    (cap, k, numerator, d, denom) to step's eps; _screen_snr passes _screen_margin.
     """
     if not isinstance(kernel, KernelOptions):
         raise DomainError(f"kernel must be a KernelOptions, got {kernel!r}")
@@ -316,22 +305,22 @@ def round_stepper(
         log2_n = math.log2(n)
         root_nv = kernel.cc_denominator == "sqrt_nv"
 
-        def step_cc(carry, depth, gamma, u=None):
+        def step_cc(carry, depth, gamma):
             gsum = carry[0] + gamma
             cap = n * np.log2(1.0 + gsum)
             v = (1.0 - np.power(1.0 + gsum, -2.0)) * scale
-            return (gsum,), tail(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v), u)
+            return (gsum,), tail(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v))
 
         return step_cc, (0.0,)
 
     lengths = np.asarray(lengths)
     log2_total = np.log2(np.cumsum(lengths, axis=0))
 
-    def step_ir(carry, depth, gamma, u=None):
+    def step_ir(carry, depth, gamma):
         cap = carry[0] + lengths[depth] * np.log2(1.0 + gamma)
         disp = carry[1] + lengths[depth] * (1.0 - np.power(1.0 + gamma, -2.0))
         d = disp * scale
-        return (cap, disp), tail(cap, k, cap - k + log2_total[depth], d, np.sqrt(d), u)
+        return (cap, disp), tail(cap, k, cap - k + log2_total[depth], d, np.sqrt(d))
 
     return step_ir, (0.0, 0.0)
 

@@ -40,6 +40,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import ConstructionError, DomainError
@@ -87,6 +88,7 @@ def state_snr(eta_lo: float, eta_hi: float, avg_snr: float) -> float:
 def _check_positive(**values: float) -> None:
     # written so that NaN and +inf fail too
     for name, value in values.items():
+        check_real(name, value)
         if not 0.0 < value < math.inf:
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
@@ -179,15 +181,20 @@ class FsmcModel:
     c: float
 
     def __post_init__(self) -> None:
-        # the shapes every consumer indexes by, and a q that normalises; validate() keeps the tolerances
+        # the shapes every consumer indexes by, real entries, finite transitions, a q that normalises
+        # and positive scalars that later divide; validate() keeps the tolerances
         L = len(self.q)
         if (len(self.thresholds), len(self.state_snrs), len(self.transitions)) != (L + 1, L, L) or \
                 any(len(row) != L for row in self.transitions):
             raise DomainError(f"{L} states need {L + 1} thresholds, {L} state SNRs and a {L} x {L} transition matrix")
-        for x in (*self.q, *self.state_snrs):
-            check_real("every q and state SNR entry", x)
+        entries = (*self.q, *self.state_snrs, *chain.from_iterable(self.transitions))
+        for x in dict(zip(map(type, entries), entries)).values():  # one of each type: check_real reads the type
+            check_real("every q, transition and state SNR entry", x)
         if not (all(0.0 <= p < math.inf for p in self.q) and sum(self.q) > 0.0):
             raise DomainError(f"state probabilities q must be finite and nonnegative with a positive sum, got {self.q}")
+        if not all(map(math.isfinite, chain.from_iterable(self.transitions))):
+            raise DomainError("transition probabilities must be finite")
+        _check_positive(f_d=self.f_d, t_tb=self.t_tb, avg_snr=self.avg_snr, c=self.c)
 
     @property
     def n_states(self) -> int:

@@ -22,16 +22,15 @@ fail with fewer) while each round's error is still marginally
 Bernoulli(eps_j); independent per-round draws would understate the residual
 error by orders of magnitude.  Kernel and trace gains are evaluated only where
 a decision needs them: round j after a failed round j - 1, at offsets packets reach.
-fbl._eps's tail screen gives eps = 0 without erfc where the Q argument x >= 4 and
-u >= 1e-8 (the exact eps is then at most 0.5 * erfc(4) = 7.7e-9 < u), and round 1's
-x increases in the SNR, so a packet whose round-1 SNR is at least fbl._screen_snr's
-g_hi, with u >= 1e-8, is decided in round 1 from those two numbers alone.  Only the
-other packets are kept, and the kernel steps them in groups of up to _BLOCK.
-Back-to-back packets resolve a trace half a synthesis chunk (_SPAN offsets) at a time:
-one chain of start offsets runs through each span from the start the last one
-carries over, and each start is counted by its class, so no index of starts is
-built.  A fixed SNR needs no kernel per packet: each packet resolves at the first
-of the m thresholds eps_j with u >= eps_j.
+From fbl._screen_snr's g_hi on, round 1's Q argument is at least 4, so its computed
+eps is below 1e-8: a packet with round-1 SNR >= g_hi and u >= 1e-8 is decided in
+round 1 from those two numbers alone.  Packets are resolved half a synthesis chunk
+(_SPAN) at a time, and the kernel steps a span's other packets in groups of up to
+_BLOCK.  Back-to-back packets take a trace's offsets span by span: one chain of
+start offsets runs through each span from the start the last one carries over, and
+each start is counted by its class, so no index of starts is built.  A fixed SNR
+needs no kernel per packet: each packet resolves at the first of the m thresholds
+eps_j with u >= eps_j.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_grid
 _BLOCK = 1 << 14  # packets or trace offsets per kernel step
 _TRACE_BLOCK = 512  # trace samples per block; each block starts from exact phasors
 _TRACE_CHUNK = 256  # phasor blocks per matmul
-# trace offsets a continuous run resolves and walks at once: half a synthesis chunk, so that the
-# span-long arrays and the groups of undecided packets stay small (a whole chunk peaks 0.8 MiB higher)
+# packets, or trace offsets, resolved and walked at once: half a synthesis chunk, so that the
+# span-long arrays stay small (a whole chunk peaks 0.8 MiB higher)
 _SPAN = _TRACE_CHUNK * _TRACE_BLOCK // 2
 _TRACE_MAX = 1 << 27  # trace samples: 2 GiB of complex128
 _OSCILLATORS_MAX = 1 << 12  # oscillators: a 32 MiB rotation and 16 MiB of phasors per chunk
@@ -221,43 +220,33 @@ def _result_from_resolution(cfg: HarqConfig, counts: np.ndarray) -> SimResult:
     )
 
 
-def _first_success(stepper, g_hi: float, uniform, snr_of, count: int, m: int) -> np.ndarray:
+def _first_success(stepper, g_hi: float, u: np.ndarray, snr_of, m: int) -> np.ndarray:
     """The resolution rule: packet i resolves at the first round j with u[i] >= eps_j, else at m.
 
-    Packets 0..count-1 come _BLOCK at a time, uniform(lo, hi) giving their uniforms in order and
-    snr_of(0, slice(lo, hi)) their round-1 SNRs.  Those with SNR >= g_hi and u >= _SCREEN_U are
-    decided in round 1 there, as the tail screen decides them; the others (NaN SNRs too) are kept
-    and stepped (stepper is round_stepper's) in groups of up to _BLOCK by _resolve_group.
+    snr_of(j, i) gives round j's SNRs of the packets i, a slice or indices.  Packets come _SPAN at
+    a time.  A span is screened _BLOCK packets at a time: those with round-1 SNR >= g_hi and
+    u >= _SCREEN_U decode in round 1 there (see fbl._screen_snr).  The span's other packets (NaN
+    SNRs too) are stepped (stepper is round_stepper's) in groups of up to _BLOCK: round j only
+    for the packets that failed round j - 1, until none are left.
     """
-    resolved = np.zeros(count, dtype=np.min_scalar_type(m + 1))
-    kept = []  # (indices, uniforms, round-1 SNRs) of the undecided packets not yet stepped
-    for lo in range(0, count, _BLOCK):
-        hi = min(lo + _BLOCK, count)
-        u, g = uniform(lo, hi), snr_of(0, slice(lo, hi))
-        i = np.flatnonzero(~((g >= g_hi) & (u >= _SCREEN_U)))
-        kept.append((i + lo, u[i], g[i]))
-        if hi == count or sum(len(k[0]) for k in kept) >= _BLOCK:
-            idx, u, g = map(np.concatenate, zip(*kept))
-            cut = len(idx) if hi == count else len(idx) - len(idx) % _BLOCK
-            kept = [(idx[cut:], u[cut:], g[cut:])]  # waits for the next group
-            for a in range(0, cut, _BLOCK):
-                _resolve_group(stepper, idx[a:a + _BLOCK], u[a:a + _BLOCK], g[a:a + _BLOCK], snr_of, m, resolved)
+    step, start = stepper
+    resolved = np.zeros(len(u), dtype=np.min_scalar_type(m + 1))
+    for lo in range(0, len(u), _SPAN):
+        hi = min(lo + _SPAN, len(u))
+        blocks = [slice(a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK)]
+        undecided = np.concatenate([np.flatnonzero(~((snr_of(0, b) >= g_hi) & (u[b] >= _SCREEN_U))) + b.start
+                                    for b in blocks])
+        for a in range(0, len(undecided), _BLOCK):
+            i, carry = undecided[a:a + _BLOCK], start
+            for j in range(m):
+                carry, eps = step(carry, j, snr_of(j, i))
+                fail = ~(u[i] >= eps)  # written so that a NaN eps fails
+                resolved[i[~fail]] = j
+                i, carry = i[fail], tuple(c[fail] for c in carry)
+                if not len(i):
+                    break
+            resolved[i] = m
     return resolved
-
-
-def _resolve_group(stepper, idx, u, g, snr_of, m: int, resolved: np.ndarray) -> None:
-    # rounds 1..m of the packets idx, with uniforms u and round-1 SNRs g, into resolved: round j
-    # is stepped at snr_of(j, idx) of the packets that failed round j - 1, with their uniforms
-    step, carry = stepper
-    for j in range(m):
-        carry, eps = step(carry, j, snr_of(j, idx) if j else g, u)
-        fail = ~(u >= eps)  # written so that a NaN eps fails
-        resolved[idx[~fail]] = j
-        idx, u = idx[fail], u[fail]
-        if not len(idx):
-            return
-        carry = tuple(c[fail] for c in carry)
-    resolved[idx] = m
 
 
 def _walk_starts(advance: np.ndarray, start: int) -> tuple[np.ndarray, int]:
@@ -343,8 +332,7 @@ def simulate_harq(
                 nxt[sel] = np.minimum(np.searchsorted(cum_rows[row], u[sel], side="left"), L - 1)
             states.append(nxt)
         u = rng.random(packets)  # drawn after the paths
-        resolved = _first_success(stepper, g_hi, lambda lo, hi: u[lo:hi],
-                                  lambda j, i: snrs[states[j][i]], packets, m)
+        resolved = _first_success(stepper, g_hi, u, lambda j, i: snrs[states[j][i]], m)
         return _result_from_resolution(cfg, _class_counts(resolved, m))
 
     check_snr(channel.avg_snr)
@@ -359,8 +347,7 @@ def simulate_harq(
 
     if packet_start == "iid":
         u, starts = rng.random(packets), rng.integers(0, n, size=packets)  # in this order
-        resolved = _first_success(stepper, g_hi, lambda lo, hi: u[lo:hi],
-                                  lambda j, i: gains(trace.samples[starts[i] + j]), packets, m)
+        resolved = _first_success(stepper, g_hi, u, lambda j, i: gains(trace.samples[starts[i] + j]), m)
         return _result_from_resolution(cfg, _class_counts(resolved, m))
     # offsets are resolved _SPAN at a time; each packet takes at least one offset, so none from start +
     # (packets - done) on is needed yet; offset i gets uniform i of the stream, however spans fall
@@ -370,8 +357,7 @@ def simulate_harq(
         if hi <= lo:
             raise ResourceLimitError(exhausted.format(done))
         h = trace.prefix(hi + m - 1)
-        resolved = _first_success(stepper, g_hi, lambda a, b: rng.random(b - a),
-                                  lambda j, i: gains(h[lo + j:][i]), hi - lo, m)
+        resolved = _first_success(stepper, g_hi, rng.random(hi - lo), lambda j, i: gains(h[lo + j:][i]), m)
         visited, start = _walk_starts(np.minimum(resolved + 1, m), start - lo)
         resolved = resolved[visited][:packets - done]
         counts += _class_counts(resolved, m)
@@ -409,30 +395,28 @@ def validate_fsmc(model: FsmcModel, trace: FadingTrace, n_blocks: int = 100) -> 
     states = np.searchsorted(edges, env, side="right")
     L = model.n_states
     n = len(states)
-
+    if not n:
+        raise DomainError("cannot validate a model against an empty trace")
     block = max(1, n // n_blocks)
-    q_blocks = []
-    for b in range(0, n - block + 1, block):
-        chunk = states[b : b + block]
-        q_blocks.append(np.bincount(chunk, minlength=L) / len(chunk))
-    q_blocks_arr = np.asarray(q_blocks)
-    q_emp = np.bincount(states, minlength=L) / n
-    q_se = q_blocks_arr.std(axis=0, ddof=1) / math.sqrt(len(q_blocks))
 
-    frm, to = states[:-1], states[1:]
-    counts = np.zeros((L, L))
-    np.add.at(counts, (frm, to), 1.0)
+    def block_counts(keys: np.ndarray, bins: int) -> np.ndarray:
+        # (blocks, bins) counts of keys in each whole block, by one bincount of block_id * bins + key
+        nb = len(keys) // block
+        ids = keys[:nb * block].reshape(nb, block) + bins * np.arange(nb)[:, None]
+        return np.bincount(ids.ravel(), minlength=nb * bins).reshape(nb, bins)
+
+    q_blocks = block_counts(states, L) / block
+    q_emp = np.bincount(states, minlength=L) / n
+    q_se = q_blocks.std(axis=0, ddof=1) / math.sqrt(len(q_blocks))
+
+    pairs = states[:-1] * L + states[1:]  # from * L + to
+    counts = np.bincount(pairs, minlength=L * L).reshape(L, L)
     visits = counts.sum(axis=1)
     p_emp = np.divide(counts, visits[:, None], out=np.zeros((L, L)), where=visits[:, None] > 0)
 
-    p_block_list = []
-    for b in range(0, n - 1 - block + 1, block):
-        f, t = frm[b : b + block], to[b : b + block]
-        cb = np.zeros((L, L))
-        np.add.at(cb, (f, t), 1.0)
-        vb = cb.sum(axis=1)
-        p_block_list.append(np.divide(cb, vb[:, None], out=np.full((L, L), np.nan), where=vb[:, None] > 0))
-    p_blocks = np.asarray(p_block_list)
+    cb = block_counts(pairs, L * L).reshape(-1, L, L)
+    vb = cb.sum(axis=2, keepdims=True)
+    p_blocks = np.divide(cb, vb, out=np.full(cb.shape, np.nan), where=vb > 0)
     valid = np.sum(~np.isnan(p_blocks), axis=0)
     assessable = valid >= 2
     p_se = np.zeros((L, L))

@@ -120,6 +120,7 @@ class OutcomeDistribution:
 
 
 def _check_budget(n_states: int, m: int, budget: int) -> None:
+    check_length("path budget", budget)
     nodes = 0
     for depth in range(1, m + 1):
         nodes += n_states ** depth

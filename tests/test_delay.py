@@ -69,6 +69,12 @@ class TestSinglePacketDelay:
         pmf = single_packet_delay(ir_cfg(70, (1.0, 0.3)), out)
         assert pmf.support[0] == 1
 
+    @pytest.mark.parametrize("p", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_needs_m_success_probabilities(self, p):
+        # two at m = 3 raised IndexError, and a fourth was dropped
+        with pytest.raises(DomainError, match="expected 3 success probabilities"):
+            single_packet_delay(ir_cfg(70, (1.0, 0.5, 0.3)), OutcomeDistribution(p, 0.0))
+
 
 class TestStreamDelay:
     def test_identity_fold(self):
@@ -471,6 +477,18 @@ class TestCountsAndParameters:
     def test_masses_must_be_finite_and_nonnegative(self, mass):
         with pytest.raises(DomainError, match="masses"):
             DelayPmf((Fraction(1), Fraction(2)), mass)
+
+    @pytest.mark.parametrize("budget", [math.nan, "x"])
+    def test_atom_budget_must_be_a_positive_integer(self, budget):
+        # a NaN budget ran unbounded, and 'x' raised numpy's UFuncTypeError
+        with pytest.raises(DomainError, match="atom_budget"):
+            stream_delay(DelayPmf((1, 2), (0.9, 0.1)), 100, atom_budget=budget)
+
+    @pytest.mark.parametrize("pruned", [math.nan, -1.0, math.inf, "x"])
+    def test_pruned_mass_must_be_real_finite_and_nonnegative(self, pruned):
+        # NaN gave a NaN total, and -1.0 a total of 0.0
+        with pytest.raises(DomainError, match="pruned mass"):
+            DelayPmf((1, 2), (0.9, 0.1), pruned_mass=pruned)
 
     def test_float_support_is_read_as_fractions(self):
         floats = stream_delay(DelayPmf((1, 7 / 5), (0.8, 0.2)), 10)

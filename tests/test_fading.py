@@ -191,6 +191,13 @@ class TestOutcomesFading:
         with pytest.raises(ResourceLimitError, match="Monte Carlo"):
             outcomes_fading(query)
 
+    @pytest.mark.parametrize("budget", [math.nan, "x"])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        # nodes > nan is always false, so a NaN budget turned the guard off; 'x' raised TypeError
+        query = FadingOutcomeQuery(ir_cfg(70, (1.0, 0.6, 0.4)), fig4a_model(), path_budget=budget)
+        with pytest.raises(DomainError, match="path budget"):
+            outcomes_fading(query)
+
 
 class TestPrefixErrorGrid:
     @pytest.mark.parametrize(

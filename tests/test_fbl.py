@@ -168,44 +168,19 @@ class TestVectorisedErfc:
         assert np.isnan(fbl._erfc(np.array([math.nan, 1.0])))[0]
 
 
-SCREEN_X = [math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0), 0.0, -4.0, 3.0, 5.0, 26.5, 27.3, 40.0,
-            math.inf, -math.inf, math.nan]
-SCREEN_U = [0.0, math.nextafter(1e-8, 0.0), 1e-8, math.nextafter(1e-8, 1.0), 7.7e-9, 0.5, 1.0]
-uniforms = st.floats(0.0, 1.0) | st.sampled_from(SCREEN_U)
-
-
-class TestTailScreen:
-    """With the packets' uniforms, _eps answers 0 where x >= 4 and u >= 1e-8 without
-    _erfc; every decision u >= eps must stay what the exact eps gives."""
-
-    def test_decisions_at_the_screen_edges(self, monkeypatch):
-        # with _SQRT2 = 1 the Q argument x is the numerator itself, so x = 4 - 1 ulp, 4, 4 + 1 ulp are exact
+class TestEps:
+    def test_zero_dispersion_decides_on_capacity(self, monkeypatch):
+        # with _SQRT2 = 1 the Q argument x is the numerator itself; where the dispersion d is 0,
+        # eps is 0 for cap > k = 70 and 1 otherwise, whatever x is, NaN too; elsewhere a NaN x
+        # gives a NaN eps
         monkeypatch.setattr(fbl, "_SQRT2", 1.0)
-        x, u = (a.ravel() for a in np.meshgrid(SCREEN_X, SCREEN_U))
-        for cap, d in ((80.0, 1.0), (80.0, 0.0), (60.0, 0.0)):  # zero dispersion decides on cap against k = 70
-            exact = fbl._eps(cap, 70, x, d, 1.0)
-            screened = fbl._eps(cap, 70, x, d, 1.0, u)
-            assert np.array_equal(u >= screened, u >= exact)
-            skipped = (x >= 4.0) & (u >= 1e-8) & (d != 0.0)
-            assert np.all(screened[skipped] == 0.0) and np.all(exact[skipped] < 1e-8)
-            assert np.array_equal(screened[~skipped], exact[~skipped], equal_nan=True)
-
-    @given(
-        st.sampled_from([Scheme.CC, Scheme.IR]),
-        st.lists(st.tuples(st.floats(0.0, 1e4) | st.sampled_from([0.0, math.inf, math.nan]),
-                           st.floats(0.0, 1e4) | st.sampled_from([0.0, math.inf]), uniforms),
-                 min_size=1, max_size=64),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_steppers_decide_as_without_the_screen(self, scheme, rounds):
-        # two rounds, so that the screen also meets a carried capacity and dispersion
-        g0, g1, u = (np.array(c) for c in zip(*rounds))
-        step, start = round_stepper(CodeParams(100, 70), (100, 60), scheme)
-        for gamma, carry in ((g0, start), (g1, step(start, 0, g0)[0])):
-            new, exact = step(carry, int(carry is not start), gamma)
-            same, screened = step(carry, int(carry is not start), gamma, u)
-            assert np.array_equal(u >= screened, u >= exact)
-            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, same))
+        x = np.array([-4.0, math.nan, 0.0, 4.0, math.nan, 40.0, math.inf, -math.inf])
+        d = np.arange(len(x)) % 2.0
+        for cap, decided in ((80.0, 0.0), (70.0, 1.0), (60.0, 1.0)):
+            eps = fbl._eps(cap, 70, x, d, 1.0)
+            assert np.all(eps[d == 0.0] == decided)
+            assert np.array_equal(eps[d > 0.0], 0.5 * fbl._erfc(x[d > 0.0]), equal_nan=True)
+            assert math.isnan(eps[1])
 
 
 SCREEN_CODES = [CodeParams(100, 70), CodeParams(100, 90), CodeParams(32, 5), CodeParams(2048, 1500),

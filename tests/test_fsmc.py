@@ -409,11 +409,21 @@ class TestModelShapes:
         lambda m: {"q": (), "transitions": (), "state_snrs": (), "thresholds": (math.inf,)},
         lambda m: {"q": ("a",) + m.q[1:]},
         lambda m: {"state_snrs": m.state_snrs[:-1] + ("x",)},
+        lambda m: {"f_d": 0.0},
+        lambda m: {"f_d": "x"},
+        lambda m: {"t_tb": math.nan},
+        lambda m: {"avg_snr": 0.0},
+        lambda m: {"c": math.inf},
+        lambda m: {"transitions": ((math.nan,) + m.transitions[0][1:],) + m.transitions[1:]},
+        lambda m: {"transitions": (("0.5",) + m.transitions[0][1:],) + m.transitions[1:]},
     ], ids=["q-zero", "q-negative", "q-nan", "q-inf", "three-rows", "short-row", "thresholds-short",
-            "state-snrs-short", "no-states", "q-string", "state-snr-string"])
+            "state-snrs-short", "no-states", "q-string", "state-snr-string", "f_d-zero", "f_d-string",
+            "t_tb-nan", "avg_snr-zero", "c-inf", "transition-nan", "transition-string"])
     def test_rejected_when_built(self, change):
         # q all zero used to end in numpy's ValueError inside simulate_harq, three rows in an
-        # IndexError from simulate_harq and outcome_on
+        # IndexError from simulate_harq and outcome_on; f_d = 0 in a ZeroDivisionError from
+        # sojourn_times, avg_snr = 0 in one from with_avg_snr; the walk dropped a NaN transition
+        # and simulate_harq raised numpy's TypeError on a string one
         model = build_fixed_sojourn(13, 3.0446, 0.0338 / 0.00014, 0.00014, 10.0)
         with pytest.raises(DomainError):
             replace(model, **change(model))
@@ -435,6 +445,14 @@ class TestModelShapes:
         obj = json.loads(build_equal_duration(4, 100.0, 0.001, 10.0).to_json())
         obj["q"][0] = "a"
         with pytest.raises(DomainError, match="malformed FSMC model JSON.*real number"):
+            FsmcModel.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("f_d", [0, "x"])
+    def test_from_json_wraps_a_bad_doppler(self, f_d):
+        # both returned a model, whose sojourn_times() then divided by zero or by a string
+        obj = json.loads(build_equal_duration(4, 100.0, 0.001, 10.0).to_json())
+        obj["f_d_hz"] = f_d
+        with pytest.raises(DomainError, match="malformed FSMC model JSON.*f_d"):
             FsmcModel.from_json(json.dumps(obj))
 
     def test_an_unnormalised_q_is_left_to_validate(self):

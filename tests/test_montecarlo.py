@@ -502,13 +502,14 @@ class TestSurvivorRule:
     @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
     @pytest.mark.parametrize("span", [29, 37, 100, 2_000])
     def test_many_small_blocks_and_spans(self, fading_setup, monkeypatch, cfg, span):
-        # a continuous run resolves _SPAN offsets at a time: spans shorter than, equal to and
-        # longer than a 37-packet block, and one span for all
+        # every channel resolves _SPAN packets or offsets at a time: spans shorter than, equal to
+        # and longer than a 37-packet block, and one span for all
         monkeypatch.setattr(montecarlo, "_BLOCK", 37)
         monkeypatch.setattr(montecarlo, "_SPAN", span)
         model = fading_setup[1]
         trace = TraceChannel(generate_trace(model.f_d, model.t_tb, 2_000 * cfg.m + cfg.m, 4), model.avg_snr)
-        assert simulate_harq(cfg, trace, 2_000, 4) == dense_simulate(cfg, trace, 2_000, 4)
+        for channel, mode in ((model, "continuous"), (trace, "iid"), (trace, "continuous")):
+            assert simulate_harq(cfg, channel, 2_000, 4, packet_start=mode) == dense_simulate(cfg, channel, 2_000, 4, mode)
 
     @pytest.mark.parametrize("cfg", SURVIVOR_CFGS, ids=SURVIVOR_IDS)
     @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
@@ -525,8 +526,7 @@ class TestSurvivorRule:
         rng = np.random.default_rng(1)
         snrs = [g0] + [rng.exponential(g_hi, len(g0)) for _ in range(cfg.m - 1)]
         stepper = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
-        got = montecarlo._first_success(stepper, g_hi, lambda lo, hi: u[lo:hi],
-                                        lambda j, i: snrs[j][i], len(u), cfg.m)
+        got = montecarlo._first_success(stepper, g_hi, u, lambda j, i: snrs[j][i], cfg.m)
         assert np.array_equal(got, dense_resolution(cfg, snrs, u, kernel))
         assert set(got[(g0 >= g_hi) & (u >= _SCREEN_U)]) == {0}
 
@@ -728,6 +728,23 @@ class TestChainReplicaAndIidStarts:
             tracemalloc.stop()
         assert peak < 8 << 20
         assert res.outcome.total == pytest.approx(1.0, abs=1e-12)
+
+    def test_undecided_packets_are_held_one_span_at_a_time(self):
+        # at -5 dB the SNR screen decides almost no packet; after a warm-up run the peak grows
+        # 12.0 B per packet (the paths, the uniforms and the classes), and would grow 20.7 B per
+        # packet if a whole run's undecided indices were held at once
+        model = build_equal_duration(64, 10.0, 1e-4, db_to_linear(-5.0))
+        cfg = HarqConfig(CodeParams(100, 70), Scheme.IR, 3, (1.0, 0.5, 0.5))
+        simulate_harq(cfg, model, 1_000, 1)  # one-off costs, such as the cached screen SNR
+        peaks = []
+        for packets in (1 << 17, 1 << 18):
+            tracemalloc.start()
+            try:
+                simulate_harq(cfg, model, packets, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (1 << 17) <= 16.0, peaks
 
     def test_iid_starts_reach_the_last_offset(self):
         # 22 samples hold m = 2 packets at offsets 0..20; only offset 20 sees

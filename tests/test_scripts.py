@@ -60,6 +60,18 @@ def test_bench_pairs_refuses_mismatched_bytecode_caches(tmp_path):
     assert bench.bytecode_caches(parent, change)["parent"] == ["src/harqfbl/__pycache__"]
 
 
+def test_bench_pairs_counts_the_package_lines(tmp_path):
+    bench = load_script("bench_pairs")
+    package = tmp_path / "src" / "harqfbl"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "a.cpython.pyc").write_bytes(b"\n\n")
+    assert bench.source_lines(tmp_path) == 3
+
+
 def test_fit_erfc_reproduces_the_kernel_table(capsys):
     # the coefficients hard-coded in fbl are the fit's output, bit for bit
     fit = load_script("fit_erfc")
