@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import cache
 from pathlib import Path
 from typing import Any
@@ -204,16 +204,7 @@ def cmd_fsmc(cfg: dict[str, Any]) -> int:
             model.f_d, model.t_tb, trials, cfg.get("seed", 0), cfg.get("oscillators", 64)
         )
         report = validate_fsmc(model, trace)
-        payload["validation"] = {
-            "samples": report.samples,
-            "q_emp": list(report.q_emp),
-            "q_se": list(report.q_se),
-            "q_flags": list(report.q_flags),
-            "p_emp": [list(r) for r in report.p_emp],
-            "p_se": [list(r) for r in report.p_se],
-            "p_flags": [list(r) for r in report.p_flags],
-            "skip_mass": report.skip_mass,
-        }
+        payload["validation"] = {"samples": report.samples, **asdict(report)}  # samples first
     _write_json(cfg, "fsmc", payload)
     if trials and cfg.get("strict") and any(payload["validation"]["q_flags"]):
         raise ValidationFailure("empirical state occupancy deviates by more than 3 sigma")

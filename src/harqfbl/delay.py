@@ -20,8 +20,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .fbl import check_length, check_real
+from .errors import (COUNT, NONNEGATIVE_FINITE, PROBABILITY, REAL, SEQUENCE, DomainError, ResourceLimitError,
+                     check_arg)
 from .outcomes import HarqConfig, OutcomeDistribution
 
 _TAU_DENOMINATOR_LIMIT = 1_000_000
@@ -30,13 +30,10 @@ PRUNE_MASS = 1e-15
 _EXACT_TICKS = 2**53  # ticks, counts and overhead operands stay exact as floats below this
 
 
-def _as_fraction(x) -> Fraction:
-    """x exactly; a float as the nearest fraction with denominator at most 1e6."""
-    if isinstance(x, numbers.Rational):
-        return Fraction(x)
-    if isinstance(x, numbers.Real) and math.isfinite(x):
-        return Fraction(x).limit_denominator(_TAU_DENOMINATOR_LIMIT)
-    raise DomainError(f"delays must be finite real numbers, got {x!r}")
+def _as_fraction(x, name: str = "a delay") -> Fraction:
+    """x, a nonnegative finite number, exactly; a float as the nearest fraction with denominator at most 1e6."""
+    f = Fraction(check_arg(name, x, NONNEGATIVE_FINITE))
+    return f if isinstance(x, numbers.Rational) else f.limit_denominator(_TAU_DENOMINATOR_LIMIT)
 
 
 class DelayPmf:
@@ -51,12 +48,12 @@ class DelayPmf:
     __slots__ = ("ticks", "denom", "mass", "pruned_mass")
 
     def __init__(self, support, mass, pruned_mass: float = 0.0) -> None:
-        points = [_as_fraction(d) for d in support]
+        points = [_as_fraction(d) for d in check_arg("support", support, SEQUENCE)]
+        for x in check_arg("mass", mass, SEQUENCE):
+            check_arg("a mass", x, REAL)
         denom = math.lcm(*(p.denominator for p in points))
         ticks = [p.numerator * (denom // p.denominator) for p in points]
-        if ticks and min(ticks) < 0:
-            raise DomainError("delays must be nonnegative")
-        if ticks and max(ticks) >= _EXACT_TICKS:
+        if max(ticks) >= _EXACT_TICKS:
             raise ResourceLimitError(f"delays reach 2**53 ticks of 1/{denom} slot; quantise them")
         self._fill(np.array(ticks, dtype=np.int64), denom, mass, pruned_mass)
 
@@ -74,9 +71,7 @@ class DelayPmf:
             raise DomainError("support must be strictly increasing")
         if not np.all((mass >= 0.0) & (mass < math.inf)):  # NaN fails too
             raise DomainError("masses must be nonnegative and finite")
-        check_real("pruned mass", pruned_mass)
-        if not 0.0 <= pruned_mass < math.inf:
-            raise DomainError(f"pruned mass must be nonnegative and finite, got {pruned_mass}")
+        check_arg("pruned mass", pruned_mass, NONNEGATIVE_FINITE)
         ticks.flags.writeable = mass.flags.writeable = False
         self.ticks, self.denom, self.mass, self.pruned_mass = ticks, denom, mass, pruned_mass
 
@@ -95,10 +90,10 @@ def single_packet_delay(cfg: HarqConfig, outcome: OutcomeDistribution) -> DelayP
     A success at the last round and an exhausted packet take the same time,
     so their masses merge on one support point.
     """
-    if len(outcome.p) != cfg.m:
+    if len(check_arg("outcome", outcome, OutcomeDistribution).p) != check_arg("cfg", cfg, HarqConfig).m:
         raise DomainError(f"expected {cfg.m} success probabilities, got {len(outcome.p)}")
     mass = [*outcome.p[: cfg.m - 1], outcome.p[cfg.m - 1] + outcome.p_e]
-    return DelayPmf(accumulate(_as_fraction(t) for t in cfg.taus), mass)
+    return DelayPmf(tuple(accumulate(_as_fraction(t) for t in cfg.taus)), mass)
 
 
 class _Lattice:
@@ -320,9 +315,9 @@ def stream_delay(pmf: DelayPmf, n_packets: int, atom_budget: int = DEFAULT_ATOM_
     The floats 0.8 and 0.2 sum to 1 + 5.55e-17, so stream_delay(DelayPmf((1,
     Fraction(7, 5)), (0.8, 0.2)), 10**8).total - 1 is 5.55e-9.
     """
-    check_length("packet count n_packets", n_packets)
-    check_length("atom budget atom_budget", atom_budget)
-    ticks = pmf.ticks
+    check_arg("packet count n_packets", n_packets, COUNT)
+    check_arg("atom budget atom_budget", atom_budget, COUNT)
+    ticks = check_arg("pmf", pmf, DelayPmf).ticks
     if int(n_packets) * int(ticks[-1]) >= _EXACT_TICKS:
         raise ResourceLimitError(f"{n_packets} packets reach 2**53 ticks of 1/{pmf.denom} slot")
     step = math.gcd(*(ticks - ticks[0]).tolist()) or 1
@@ -349,12 +344,9 @@ def binomial_stream_delay(n_packets: int, tau1: float | Fraction, p_fail: float)
     tau1 = 1 (chase combining) the support is {N .. 2N}.  Masses are taken
     in log space from the exact C(N, i), so those below the float range are 0.
     """
-    check_length("packet count n_packets", n_packets)
-    if not 0.0 <= p_fail <= 1.0:
-        raise DomainError(f"failure probability out of range: {p_fail}")
-    if not math.isfinite(tau1):
-        raise DomainError(f"tau1 must be finite, got {tau1}")
-    t = _as_fraction(tau1)
+    check_arg("packet count n_packets", n_packets, COUNT)
+    check_arg("failure probability p_fail", p_fail, PROBABILITY)
+    t = _as_fraction(tau1, "tau1")
     atoms: dict[Fraction, float] = {}
     for i in range(n_packets + 1):
         d = (1 + t) * n_packets - i * t
@@ -374,8 +366,8 @@ def overhead_ccdf(stream: DelayPmf, n_packets: int) -> np.ndarray:
     first try; the curve starts at 1 below the smallest support point and
     ends at 0.
     """
-    check_length("packet count n_packets", n_packets)
-    scale = int(n_packets) * stream.denom
+    check_arg("packet count n_packets", n_packets, COUNT)
+    scale = int(n_packets) * check_arg("stream", stream, DelayPmf).denom
     if scale >= _EXACT_TICKS:
         raise ResourceLimitError(f"{n_packets} packets of 1/{stream.denom} slot ticks reach 2**53")
     # P(X > x_j), accumulated right to left; the last entry is exactly 0

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fbl import DEFAULT_KERNEL, KernelOptions, check_snr
+from .errors import check_arg, check_fields
+from .fbl import DEFAULT_KERNEL, KernelOptions
 from .fsmc import FsmcModel
 from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, OutcomeDistribution, outcome_on
 
 
 @dataclass(frozen=True)
 class FadingOutcomeQuery:
-    """An HARQ configuration and the channel model to evaluate it on (SNRs checked)."""
+    """An HARQ configuration and the channel model to evaluate it on; outcomes_fading checks the rest."""
 
     cfg: HarqConfig
     model: FsmcModel
@@ -27,8 +28,7 @@ class FadingOutcomeQuery:
     path_budget: int = DEFAULT_PATH_BUDGET
 
     def __post_init__(self) -> None:
-        for g in self.model.state_snrs:
-            check_snr(g)
+        check_fields(self, cfg=HarqConfig, model=FsmcModel)
 
 
 def outcomes_fading(query: FadingOutcomeQuery) -> OutcomeDistribution:
@@ -37,4 +37,5 @@ def outcomes_fading(query: FadingOutcomeQuery) -> OutcomeDistribution:
     With a single-state model this reduces to the fixed-SNR distribution at
     that state's SNR.
     """
+    check_arg("query", query, FadingOutcomeQuery)
     return outcome_on(query.cfg, query.model, query.kernel, query.path_budget)

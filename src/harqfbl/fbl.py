@@ -16,6 +16,9 @@ simulator all call it; _erfc, one numpy form for every array size, gives the
 Gaussian tail without scipy, so every probability lies in [0, 1].  _screen_snr
 gives the round-1 SNR from which every packet whose uniform is u >= 1e-8 decodes
 in round 1, so that the simulator decides it without the kernel.
+
+Arguments go through errors.check_arg: an SNR (check_snr) is real and >= 0,
+inf included; n and k lie in 1..N_MAX; Scheme('CC') is Scheme.CC.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import COUNT, DB, FINITE, POSITIVE, SEQUENCE, SNR, Domain, DomainError, check_arg, check_fields, one_of
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -38,17 +42,12 @@ LOG2E_SQ = (1.0 / math.log(2.0)) ** 2
 
 def db_to_linear(snr_db: float) -> float:
     """Convert an SNR in dB to a linear power ratio; inf dB stays inf."""
-    try:
-        return 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        raise DomainError(f"SNR of {snr_db} dB overflows a linear power ratio") from None
+    return 10.0 ** (check_arg("SNR in dB", snr_db, DB) / 10.0)
 
 
 def linear_to_db(snr_linear: float) -> float:
     """Convert a linear SNR to dB; requires a positive argument."""
-    if not snr_linear > 0.0:
-        raise DomainError(f"linear SNR must be positive, got {snr_linear}")
-    return 10.0 * math.log10(snr_linear)
+    return 10.0 * math.log10(check_arg("linear SNR", snr_linear, POSITIVE))
 
 
 def q_function(x: float) -> float:
@@ -56,28 +55,11 @@ def q_function(x: float) -> float:
 
     Accurate to well below 1e-14 absolute error; raises on non-finite input.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"q_function argument must be finite, got {x}")
-    return 0.5 * math.erfc(x / _SQRT2)
+    return 0.5 * math.erfc(check_arg("q_function argument", x, FINITE) / _SQRT2)
 
 
-def check_snr(gamma: float) -> None:
-    # written so that NaN fails too; +inf is a valid, error-free SNR
-    check_real("SNR", gamma)
-    if not gamma >= 0.0:
-        raise DomainError(f"SNR must be a nonnegative number, got {gamma}")
-
-
-def check_length(name: str, value: int) -> None:
-    # bool is an Integral subclass but never a length
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-
-
-def check_real(name: str, value: float) -> None:
-    # bool is a Real subclass but never a quantity
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+#: the SNR domain's check, shared by every function that takes a linear SNR
+check_snr = partial(check_arg, "SNR", kind=SNR)
 
 
 def channel_dispersion(gamma: float) -> float:
@@ -90,22 +72,22 @@ def channel_dispersion(gamma: float) -> float:
 
 
 #: Largest blocklength n: a prefix of round lengths is keyed by parent id x (n + 1) + length
-#: (outcomes._prefix_tree), which fits in int64 for fewer than 2^32 tau candidates.
+#: (outcomes._prefix_tree), which fits in int64 for fewer than 2^32 tau candidates.  It bounds k
+#: too, which the kernel takes as a float.
 N_MAX = 2**31 - 1
+_LENGTH = Domain(f"at most {N_MAX} and a positive integer", lambda n: 1 <= n <= N_MAX, int, numbers.Integral)
 
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Mother code dimensions: n symbols carrying k information bits, 1 <= n <= N_MAX."""
+    """Mother code dimensions: n symbols carrying k information bits, 1 <= n, k <= N_MAX."""
 
     n: int
     k: int
 
     def __post_init__(self) -> None:
-        check_length("blocklength n", self.n)
-        check_length("information length k", self.k)
-        if self.n > N_MAX:
-            raise DomainError(f"blocklength n must be at most {N_MAX}, got {self.n}")
+        check_arg("blocklength n", self.n, _LENGTH)
+        check_arg("information length k", self.k, _LENGTH)
 
     @property
     def rate(self) -> float:
@@ -120,16 +102,12 @@ class TransmissionRecord:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.snrs) == 0:
-            raise DomainError("transmission record must contain at least one round")
-        if len(self.snrs) != len(self.lengths):
-            raise DomainError(
-                f"snrs and lengths must have equal length, got {len(self.snrs)} and {len(self.lengths)}"
-            )
+        if len(check_arg("snrs", self.snrs, SEQUENCE)) != len(check_arg("lengths", self.lengths, SEQUENCE)):
+            raise DomainError(f"snrs and lengths must have equal length, got {len(self.snrs)} and {len(self.lengths)}")
         for g in self.snrs:
             check_snr(g)
         for n_i in self.lengths:
-            check_length("round length", n_i)
+            check_arg("round length", n_i, COUNT)
 
 
 @dataclass(frozen=True)
@@ -153,10 +131,7 @@ class KernelOptions:
     cc_denominator: str = "sqrt_nv"
 
     def __post_init__(self) -> None:
-        if self.dispersion_units not in ("nats2", "bits2"):
-            raise DomainError(f"unknown dispersion_units {self.dispersion_units!r}")
-        if self.cc_denominator not in ("sqrt_nv", "n_sqrt_v"):
-            raise DomainError(f"unknown cc_denominator {self.cc_denominator!r}")
+        check_fields(self, dispersion_units=one_of("nats2", "bits2"), cc_denominator=one_of("sqrt_nv", "n_sqrt_v"))
 
     @property
     def dispersion_scale(self) -> float:
@@ -169,6 +144,10 @@ DEFAULT_KERNEL = KernelOptions()
 class Scheme(str, Enum):
     CC = "CC"
     IR = "IR"
+
+    @classmethod
+    def _missing_(cls, value):  # Scheme('zz') raises DomainError, not ValueError
+        check_arg("scheme", value, one_of(*(s.value for s in cls)))
 
 
 # P(2t - 1) of _erfc, highest degree first (scripts/fit_erfc.py prints it), as numpy scalars for the Horner steps
@@ -296,12 +275,10 @@ def round_stepper(
     Callers validate the SNRs.  tail (_eps by default) maps the terms
     (cap, k, numerator, d, denom) to step's eps; _screen_snr passes _screen_margin.
     """
-    if not isinstance(kernel, KernelOptions):
-        raise DomainError(f"kernel must be a KernelOptions, got {kernel!r}")
-    n, k, tail = code.n, code.k, tail or _eps
-    scale = kernel.dispersion_scale
+    n, k, tail = check_arg("code", code, CodeParams).n, code.k, tail or _eps
+    scale = check_arg("kernel", kernel, KernelOptions).dispersion_scale
     # np.power, not **, so that scalars and arrays round alike
-    if scheme is Scheme.CC:
+    if Scheme(scheme) is Scheme.CC:
         log2_n = math.log2(n)
         root_nv = kernel.cc_denominator == "sqrt_nv"
 
@@ -332,11 +309,9 @@ def per_cc(code: CodeParams, snrs: Sequence[float], kernel: KernelOptions = DEFA
     one round at g*m.  An all-zero SNR total carries no information, so the
     error probability is 1 for any k >= 1.
     """
-    if len(snrs) == 0:
-        raise DomainError("per_cc needs at least one transmission")
-    for g in snrs:
+    for g in check_arg("snrs", snrs, SEQUENCE):
         check_snr(g)
-    step, carry = round_stepper(code, (code.n,), Scheme.CC, kernel)
+    step, carry = round_stepper(check_arg("code", code, CodeParams), (code.n,), Scheme.CC, kernel)
     return float(step(carry, 0, math.fsum(snrs))[1])
 
 
@@ -347,7 +322,7 @@ def per_ir(code: CodeParams, record: TransmissionRecord, kernel: KernelOptions =
     capacity and n_i * v(gamma_i) to the accumulated dispersion; the rate
     penalty uses the total symbol count.
     """
-    step, carry = round_stepper(code, record.lengths, Scheme.IR, kernel)
+    step, carry = round_stepper(code, check_arg("record", record, TransmissionRecord).lengths, Scheme.IR, kernel)
     for depth, g in enumerate(record.snrs):
         carry, eps = step(carry, depth, g)
     return float(eps)

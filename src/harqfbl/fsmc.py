@@ -43,29 +43,32 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Sequence
 
-from .errors import ConstructionError, DomainError
-from .fbl import check_length, check_real, db_to_linear, linear_to_db
+from .errors import (COUNT, FINITE, NONNEGATIVE_FINITE, POSITIVE_FINITE, REAL, SEQUENCE, SNR, ConstructionError, Domain,
+                     DomainError, check_arg, check_fields)
+from .fbl import db_to_linear, linear_to_db
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+# unchecked forms of the three public functions below, for the root solves and _assemble
+def _crossing(eta: float, f_d: float) -> float:
+    return 0.0 if math.isinf(eta) else _SQRT_2PI * eta * f_d * math.exp(-eta * eta)
+
+
+def _mass(eta_lo: float, eta_hi: float) -> float:
+    return math.exp(-eta_lo * eta_lo) - (0.0 if math.isinf(eta_hi) else math.exp(-eta_hi * eta_hi))
+
+
 def level_crossing_rate(eta: float, f_d: float) -> float:
     """Rate (per second) at which the envelope crosses level eta downward."""
-    if not eta >= 0.0:
-        raise DomainError(f"threshold must be nonnegative, got {eta}")
-    if not f_d > 0.0:
-        raise DomainError(f"Doppler frequency must be positive, got {f_d}")
-    if math.isinf(eta):
-        return 0.0
-    return _SQRT_2PI * eta * f_d * math.exp(-eta * eta)
+    return _crossing(check_arg("threshold eta", eta, SNR), check_arg("Doppler frequency f_d", f_d, POSITIVE_FINITE))
 
 
 def marginal_probability(eta_lo: float, eta_hi: float) -> float:
     """P(eta_lo <= |h| < eta_hi) for the unit-power Rayleigh envelope."""
-    if not 0.0 <= eta_lo < eta_hi:
-        raise DomainError(f"need 0 <= eta_lo < eta_hi, got ({eta_lo}, {eta_hi})")
-    hi = 0.0 if math.isinf(eta_hi) else math.exp(-eta_hi * eta_hi)
-    return math.exp(-eta_lo * eta_lo) - hi
+    check_arg("eta_lo", eta_lo, NONNEGATIVE_FINITE)
+    check_arg("eta_hi", eta_hi, Domain(f"a number above eta_lo = {eta_lo!r}", lambda x: x > eta_lo and SNR.test(x)))
+    return _mass(eta_lo, eta_hi)
 
 
 def state_snr(eta_lo: float, eta_hi: float, avg_snr: float) -> float:
@@ -75,28 +78,20 @@ def state_snr(eta_lo: float, eta_hi: float, avg_snr: float) -> float:
     mean follows from integrating x^2 against the Rayleigh density over
     the interval.
     """
-    if not avg_snr > 0.0:
-        raise DomainError(f"average SNR must be positive, got {avg_snr}")
+    marginal_probability(eta_lo, eta_hi)  # checks the interval
+    return _state_snr(eta_lo, eta_hi, check_arg("average SNR avg_snr", avg_snr, POSITIVE_FINITE))
 
+
+def _state_snr(eta_lo: float, eta_hi: float, avg_snr: float) -> float:
     def antiderivative(x: float) -> float:
         return 0.0 if math.isinf(x) else math.exp(-x * x) * (x * x + 1.0)
 
-    q = marginal_probability(eta_lo, eta_hi)
-    return avg_snr * (antiderivative(eta_lo) - antiderivative(eta_hi)) / q
-
-
-def _check_positive(**values: float) -> None:
-    # written so that NaN and +inf fail too
-    for name, value in values.items():
-        check_real(name, value)
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    return avg_snr * (antiderivative(eta_lo) - antiderivative(eta_hi)) / _mass(eta_lo, eta_hi)
 
 
 def _sojourn_norm(eta_lo: float, eta_hi: float) -> float:
     """Expected sojourn time of a state, normalised to f_d = 1 Hz."""
-    den = level_crossing_rate(eta_lo, 1.0) + level_crossing_rate(eta_hi, 1.0)
-    return marginal_probability(eta_lo, eta_hi) / den
+    return _mass(eta_lo, eta_hi) / (_crossing(eta_lo, 1.0) + _crossing(eta_hi, 1.0))
 
 
 _ATOL = 1e-16  # width at which a root solve stops (see the module docstring)
@@ -183,18 +178,19 @@ class FsmcModel:
     def __post_init__(self) -> None:
         # the shapes every consumer indexes by, real entries, finite transitions, a q that normalises
         # and positive scalars that later divide; validate() keeps the tolerances
+        check_fields(self, thresholds=SEQUENCE, q=SEQUENCE, transitions=SEQUENCE, state_snrs=SEQUENCE)
         L = len(self.q)
         if (len(self.thresholds), len(self.state_snrs), len(self.transitions)) != (L + 1, L, L) or \
-                any(len(row) != L for row in self.transitions):
+                any(len(check_arg("a transition row", row, SEQUENCE)) != L for row in self.transitions):
             raise DomainError(f"{L} states need {L + 1} thresholds, {L} state SNRs and a {L} x {L} transition matrix")
-        entries = (*self.q, *self.state_snrs, *chain.from_iterable(self.transitions))
-        for x in dict(zip(map(type, entries), entries)).values():  # one of each type: check_real reads the type
-            check_real("every q, transition and state SNR entry", x)
+        entries = (*self.thresholds, *self.q, *self.state_snrs, *chain.from_iterable(self.transitions))
+        for x in dict(zip(map(type, entries), entries)).values():  # one of each type: the rule reads the type
+            check_arg("every threshold, q, transition and state SNR entry", x, REAL)
         if not (all(0.0 <= p < math.inf for p in self.q) and sum(self.q) > 0.0):
             raise DomainError(f"state probabilities q must be finite and nonnegative with a positive sum, got {self.q}")
         if not all(map(math.isfinite, chain.from_iterable(self.transitions))):
             raise DomainError("transition probabilities must be finite")
-        _check_positive(f_d=self.f_d, t_tb=self.t_tb, avg_snr=self.avg_snr, c=self.c)
+        check_fields(self, f_d=POSITIVE_FINITE, t_tb=POSITIVE_FINITE, avg_snr=POSITIVE_FINITE, c=POSITIVE_FINITE)
 
     @property
     def n_states(self) -> int:
@@ -211,13 +207,8 @@ class FsmcModel:
 
     def with_avg_snr(self, avg_snr: float) -> "FsmcModel":
         """Same partition and dynamics at a different mean SNR."""
-        _check_positive(avg_snr=avg_snr)
-        scale = avg_snr / self.avg_snr
-        return replace(
-            self,
-            avg_snr=avg_snr,
-            state_snrs=tuple(g * scale for g in self.state_snrs),
-        )
+        scale = check_arg("avg_snr", avg_snr, POSITIVE_FINITE) / self.avg_snr
+        return replace(self, avg_snr=avg_snr, state_snrs=tuple(g * scale for g in self.state_snrs))
 
     def validate(self, tol_row: float = 1e-12, tol_q: float = 1e-12) -> None:
         L = self.n_states
@@ -283,13 +274,13 @@ def _assemble(
     etas: Sequence[float], f_d: float, t_tb: float, avg_snr: float, c: float
 ) -> FsmcModel:
     L = len(etas) - 1
-    q = tuple(marginal_probability(etas[i], etas[i + 1]) for i in range(L))
+    q = tuple(_mass(etas[i], etas[i + 1]) for i in range(L))
     if min(q) == 0.0:
         raise ConstructionError("a state's probability rounds to 0: the sojourn target is too small")
     rows = []
     for i in range(L):
-        up = level_crossing_rate(etas[i + 1], f_d) * t_tb / q[i] if i < L - 1 else 0.0
-        down = level_crossing_rate(etas[i], f_d) * t_tb / q[i] if i > 0 else 0.0
+        up = _crossing(etas[i + 1], f_d) * t_tb / q[i] if i < L - 1 else 0.0
+        down = _crossing(etas[i], f_d) * t_tb / q[i] if i > 0 else 0.0
         row = [0.0] * L
         row[i] = 1.0 - up - down
         if i < L - 1:
@@ -297,17 +288,8 @@ def _assemble(
         if i > 0:
             row[i - 1] = down
         rows.append(tuple(row))
-    snrs = tuple(state_snr(etas[i], etas[i + 1], avg_snr) for i in range(L))
-    model = FsmcModel(
-        thresholds=tuple(etas),
-        q=q,
-        transitions=tuple(rows),
-        state_snrs=snrs,
-        avg_snr=avg_snr,
-        f_d=f_d,
-        t_tb=t_tb,
-        c=c,
-    )
+    snrs = tuple(_state_snr(etas[i], etas[i + 1], avg_snr) for i in range(L))
+    model = FsmcModel(tuple(etas), q, tuple(rows), snrs, avg_snr, f_d, t_tb, c)
     slacks = model.tb_bound_slacks()
     worst = min(range(L), key=lambda i: slacks[i])
     if slacks[worst] < 0.0:
@@ -337,14 +319,21 @@ def _equal_duration_partition(L: int) -> tuple[float, tuple[float, ...]]:
     return target, (*etas, math.inf)
 
 
+def _checked_fdt(f_d: float, t_tb: float, avg_snr: float) -> float:
+    """f_d * t_tb, once f_d, t_tb, avg_snr and then the product are checked positive and finite."""
+    for name, x in (("f_d", f_d), ("t_tb", t_tb), ("avg_snr", avg_snr)):
+        check_arg(name, x, POSITIVE_FINITE)
+    return check_arg("f_d * t_tb", f_d * t_tb, POSITIVE_FINITE)
+
+
 def build_equal_duration(L: int, f_d: float, t_tb: float, avg_snr: float) -> FsmcModel:
     """Build the model whose L states all share one expected sojourn time, T(L) / f_d
     (see _equal_duration_partition), so that c = T(L) / (f_d * t_tb)."""
-    if L < 2:
+    if check_arg("state count L", L, COUNT) < 2:
         raise ConstructionError(f"equal-duration partitioning needs L >= 2, got {L}")
-    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr, **{"f_d * t_tb": f_d * t_tb})
+    fdt = _checked_fdt(f_d, t_tb, avg_snr)
     target, etas = _equal_duration_partition(L)
-    return _assemble(etas, f_d, t_tb, avg_snr, target / (f_d * t_tb))
+    return _assemble(etas, f_d, t_tb, avg_snr, target / fdt)
 
 
 def build_fixed_sojourn(L: int, c: float, f_d: float, t_tb: float, avg_snr: float) -> FsmcModel:
@@ -355,12 +344,11 @@ def build_fixed_sojourn(L: int, c: float, f_d: float, t_tb: float, avg_snr: floa
     sojourn generally differs from c * t_tb.  Raises when the target
     sojourn is unreachable for some state, naming the largest feasible L.
     """
-    if L < 2:
+    if check_arg("state count L", L, COUNT) < 2:
         raise ConstructionError(f"fixed-sojourn partitioning needs L >= 2, got {L}")
-    if not c >= 1.0:
+    if not check_arg("c", c, REAL) >= 1.0:  # NaN too: a construction error, as c < 1 is
         raise ConstructionError(f"c must be >= 1 so that t_tb fits inside a state, got {c}")
-    _check_positive(f_d=f_d, t_tb=t_tb, avg_snr=avg_snr, **{"f_d * t_tb": f_d * t_tb})
-    target = c * (f_d * t_tb)
+    target = c * _checked_fdt(f_d, t_tb, avg_snr)
     etas = _interior_thresholds(L - 1, target)
     if len(etas) < L:
         raise ConstructionError(
@@ -379,9 +367,9 @@ def from_target_c(
     Scans L = 2 .. max_states, skipping state counts whose models violate
     the time-block bound.
     """
-    if not math.isfinite(c_target):
-        raise DomainError(f"c_target must be finite, got {c_target}")
-    check_length("max_states", max_states)
+    check_arg("c_target", c_target, FINITE)
+    check_arg("max_states", max_states, COUNT)
+    fdt = _checked_fdt(f_d, t_tb, avg_snr)
     best: FsmcModel | None = None
     for L in range(2, max_states + 1):
         try:
@@ -392,6 +380,6 @@ def from_target_c(
             best = model
     if best is None:
         raise ConstructionError(
-            f"no state count up to {max_states} yields a valid model at f_d*t_tb={f_d * t_tb:.6g}"
+            f"no state count up to {max_states} yields a valid model at f_d*t_tb={fdt:.6g}"
         )
     return best

@@ -44,8 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .fbl import _SCREEN_U, DEFAULT_KERNEL, KernelOptions, _screen_snr, check_length, check_snr, round_stepper
+from .errors import (COUNT, FINITE, NONNEGATIVE_FINITE, POSITIVE_FINITE, PROBABILITY, SEED, SEQUENCE, SNR, Domain,
+                     DomainError, ResourceLimitError, check_arg, check_fields, one_of)
+from .fbl import _SCREEN_U, DEFAULT_KERNEL, KernelOptions, _screen_snr, check_snr, round_stepper
 from .fsmc import FsmcModel
 from .outcomes import HarqConfig, OutcomeDistribution, prefix_error_grid
 
@@ -58,12 +59,9 @@ _SPAN = _TRACE_CHUNK * _TRACE_BLOCK // 2
 _TRACE_MAX = 1 << 27  # trace samples: 2 GiB of complex128
 _OSCILLATORS_MAX = 1 << 12  # oscillators: a 32 MiB rotation and 16 MiB of phasors per chunk
 _PACKETS_MAX = 1 << 24  # packets per simulation; a fixed-SNR run of this many peaks near 33 MiB
-
-
-def _check_seed(seed: int) -> None:
-    # check_length's rule, except that a seed may be 0
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+_PACKETS = Domain("an integer of at least 1000", lambda n: n >= 1_000, int, numbers.Integral)
+# a trace's parameters: generate_trace checks its arguments, FadingTrace its fields, by this table
+_TRACE_FIELDS = {"f_d": NONNEGATIVE_FINITE, "t_tb": POSITIVE_FINITE, "seed": SEED, "n_oscillators": COUNT}
 
 
 class _Synthesis(NamedTuple):  # a trace's samples, allocated up front, and the generator that fills their chunks
@@ -92,14 +90,15 @@ class FadingTrace:
         if not lazy:
             try:
                 object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
-                valid = self.samples.ndim == 1 and not np.isnan(self.samples).any()
+                valid = self.samples.ndim == 1 and len(self.samples) and not np.isnan(self.samples).any()
             except (TypeError, ValueError):
                 valid = False
             if not valid:
-                raise DomainError("trace samples must be a 1-D array of complex gains, none of them NaN")
+                raise DomainError("trace samples must be a nonempty 1-D array of complex gains, none of them NaN")
         synthesis = self.__dict__.pop("samples") if lazy else _Synthesis(self.samples, iter(()))
         object.__setattr__(self, "_synthesis", synthesis)
         object.__setattr__(self, "synthesised", 0 if lazy else len(self.samples))
+        check_fields(self, **_TRACE_FIELDS)
 
     def __getattr__(self, name: str):
         if name != "samples" or "_synthesis" not in self.__dict__:
@@ -132,18 +131,11 @@ def generate_trace(
     exact sum, the rounding of the phase itself.  Every argument is checked
     here, but a chunk is synthesised only when the trace is first read there.
     """
-    # written so that NaN fails too
-    if not 0.0 <= f_d < math.inf:
-        raise DomainError(f"Doppler frequency f_d must be nonnegative and finite, got {f_d}")
-    if not 0.0 < t_tb < math.inf:
-        raise DomainError(f"block duration t_tb must be positive and finite, got {t_tb}")
-    check_length("trace length", length)
-    check_length("oscillator count", n_oscillators)
-    _check_seed(seed)
-    if not math.isfinite(2.0 * math.pi * f_d * t_tb * (length - 1)):
-        raise DomainError(f"trace phase 2*pi*f_d*t_tb*(length - 1) overflows at length {length}")
-    if length > _TRACE_MAX:
+    for (name, kind), x in zip(_TRACE_FIELDS.items(), (f_d, t_tb, seed, n_oscillators)):
+        check_arg(name, x, kind)
+    if check_arg("trace length", length, COUNT) > _TRACE_MAX:
         raise ResourceLimitError(f"trace length {length} exceeds the limit of {_TRACE_MAX} samples")
+    check_arg("the trace's last phase 2*pi*f_d*t_tb*(length - 1)", 2.0 * math.pi * f_d * t_tb * (length - 1), FINITE)
     if n_oscillators > _OSCILLATORS_MAX:
         raise ResourceLimitError(f"oscillator count {n_oscillators} exceeds the limit of {_OSCILLATORS_MAX}")
     rng = np.random.default_rng(seed)
@@ -177,6 +169,9 @@ class TraceChannel:
     trace: FadingTrace
     avg_snr: float
 
+    def __post_init__(self) -> None:
+        check_fields(self, trace=FadingTrace, avg_snr=SNR)
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -188,6 +183,10 @@ class SimResult:
     throughput: float
     throughput_se: float
     packets: int
+
+    def __post_init__(self) -> None:
+        check_fields(self, outcome=OutcomeDistribution, outcome_se=SEQUENCE, p_e_se=PROBABILITY,
+                     throughput=NONNEGATIVE_FINITE, throughput_se=NONNEGATIVE_FINITE, packets=COUNT)
 
 
 def _class_counts(resolved: np.ndarray, m: int) -> np.ndarray:
@@ -210,14 +209,8 @@ def _result_from_resolution(cfg: HarqConfig, counts: np.ndarray) -> SimResult:
     tp = cfg.code.rate * xbar / ybar
     grad = tp / max(xbar, 1e-300) * (x - xbar) - tp / ybar * (y - ybar)
     tp_se = math.sqrt(counts @ (grad * grad) / (packets - 1) / packets)
-    return SimResult(
-        outcome=outcome,
-        outcome_se=tuple(se[:m].tolist()),
-        p_e_se=float(se[m]),
-        throughput=float(tp),
-        throughput_se=tp_se,
-        packets=packets,
-    )
+    return SimResult(outcome=outcome, outcome_se=tuple(se[:m].tolist()), p_e_se=float(se[m]), throughput=float(tp),
+                     throughput_se=tp_se, packets=packets)
 
 
 def _first_success(stepper, g_hi: float, u: np.ndarray, snr_of, m: int) -> np.ndarray:
@@ -293,15 +286,11 @@ def simulate_harq(
     draws one uniform; start offsets are stopping times, so that is one
     uniform per packet.
     """
-    check_length("packets", packets)
-    if packets < 1_000:
-        raise DomainError(f"need at least 1e3 packets, got {packets}")
-    if packets > _PACKETS_MAX:
+    if check_arg("packets", packets, _PACKETS) > _PACKETS_MAX:
         raise ResourceLimitError(f"packet count {packets} exceeds the limit of {_PACKETS_MAX} packets")
-    _check_seed(seed)
-    if packet_start not in ("continuous", "iid"):
-        raise DomainError(f"unknown packet_start mode {packet_start!r}")
-    m = cfg.m
+    check_arg("seed", seed, SEED)
+    check_arg("packet_start", packet_start, one_of("continuous", "iid"))
+    m = check_arg("cfg", cfg, HarqConfig).m
     rng = np.random.default_rng(seed)
     stepper = round_stepper(cfg.code, cfg.round_lengths(), cfg.scheme, kernel)
 
@@ -335,7 +324,6 @@ def simulate_harq(
         resolved = _first_success(stepper, g_hi, u, lambda j, i: snrs[states[j][i]], m)
         return _result_from_resolution(cfg, _class_counts(resolved, m))
 
-    check_snr(channel.avg_snr)
     trace = channel.trace
     n = len(trace) - m + 1  # offsets at which a whole packet fits
     exhausted = f"trace of {len(trace)} samples exhausted after {{}} packets; generate a longer trace"
@@ -389,14 +377,12 @@ class FsmcValidation:
 
 def validate_fsmc(model: FsmcModel, trace: FadingTrace, n_blocks: int = 100) -> FsmcValidation:
     """Quantise a trace by the model thresholds and compare q and P."""
-    check_length("block count n_blocks", n_blocks)
-    env = np.abs(trace.samples)
-    edges = np.asarray(model.thresholds[1:-1])
+    check_arg("block count n_blocks", n_blocks, COUNT)
+    env = np.abs(check_arg("trace", trace, FadingTrace).samples)
+    edges = np.asarray(check_arg("model", model, FsmcModel).thresholds[1:-1])
     states = np.searchsorted(edges, env, side="right")
     L = model.n_states
     n = len(states)
-    if not n:
-        raise DomainError("cannot validate a model against an empty trace")
     block = max(1, n // n_blocks)
 
     def block_counts(keys: np.ndarray, bins: int) -> np.ndarray:

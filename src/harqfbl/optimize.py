@@ -15,12 +15,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (DB, NONNEGATIVE_FINITE, PROBABILITY, REAL, SEQUENCE, Domain, DomainError, check_arg, check_fields,
+                     one_of)
 from .fading import outcomes_fading  # noqa: F401  harqbench's traced-run test reads it from this module
-from .fbl import DEFAULT_KERNEL, KernelOptions, check_real, db_to_linear
+from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear
 from .fsmc import FsmcModel
 from .outcomes import DEFAULT_PATH_BUDGET, HarqConfig, _chain, _walk, tau_matrix, telescope, throughput_grid
 
+_UNIT = Domain("a real number in (0, 1]", lambda x: 0.0 < x <= 1.0)
 COARSE_TAU_GRID = tuple(round(0.1 * i, 2) for i in range(1, 11))
 FINE_TAU_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
 
@@ -30,7 +32,7 @@ def outcome_grid(cfg_base: HarqConfig, channel: float | FsmcModel,
                  kernel: KernelOptions = DEFAULT_KERNEL,
                  path_budget: int = DEFAULT_PATH_BUDGET) -> tuple[np.ndarray, np.ndarray]:
     """(PER, throughput) arrays of cfg_base with each candidate taus (rows, checked), in one batch."""
-    taus = tau_matrix(cfg_base.scheme, cfg_base.m, candidates)
+    taus = tau_matrix(check_arg("cfg_base", cfg_base, HarqConfig).scheme, cfg_base.m, candidates)
     p, p_e = telescope(_walk(cfg_base, taus, *_chain(channel), kernel, path_budget))
     return p_e, throughput_grid(cfg_base, taus, p, p_e)
 
@@ -44,12 +46,9 @@ def at_snr(channel: float | FsmcModel, snr_db: float) -> float | FsmcModel:
 
 def check_tau_grid(grid: Sequence[float]) -> None:
     """A tau grid is nonempty and strictly increasing within (0, 1]."""
-    if not grid:
-        raise DomainError("tau grid must be nonempty")
     last = 0.0
-    for t in grid:
-        check_real("tau grid entry", t)
-        if not 0.0 < t <= 1.0 or t <= last:
+    for t in check_arg("tau grid", grid, SEQUENCE):
+        if check_arg("tau grid entry", t, _UNIT) <= last:
             raise DomainError("tau grid must be strictly increasing within (0, 1]")
         last = t
 
@@ -81,13 +80,9 @@ class OptimizationProblem:
 
     def __post_init__(self) -> None:
         if not isinstance(self.channel, FsmcModel):  # _chain's rule, checked before any entry point
-            check_real("a channel that is not an FsmcModel", self.channel)
-        check_real("PER threshold", self.per_ceiling)
-        if not 0.0 < self.per_ceiling <= 1.0:
-            raise DomainError(f"PER threshold must lie in (0, 1], got {self.per_ceiling}")
+            check_arg("a channel that is not an FsmcModel", self.channel, REAL)
+        check_fields(self, cfg_base=HarqConfig, per_ceiling=_UNIT, constraint=one_of("ceiling", "floor"))
         check_tau_grid(self.tau_grid)
-        if self.constraint not in ("ceiling", "floor"):
-            raise DomainError(f"unknown constraint direction {self.constraint!r}")
 
     def is_feasible(self, per):  # a number or an array
         if self.constraint == "ceiling":
@@ -110,6 +105,10 @@ class OptimizationReport:
     frontier: tuple[FrontierPoint, ...]
     snr_db: float | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        check_fields(self, tau_hat=SEQUENCE, achieved_per=PROBABILITY, achieved_throughput=NONNEGATIVE_FINITE,
+                     feasible=bool, frontier=SEQUENCE, **{"snr_db": DB} if self.snr_db is not None else {})
+
 
 def _report(problem: OptimizationProblem, candidates: list[tuple[float, ...]], ties: tuple[np.ndarray, ...],
             per: np.ndarray, tp: np.ndarray, snr_db: float | None = None) -> OptimizationReport:
@@ -130,7 +129,7 @@ def _candidates(problem: OptimizationProblem, name: str, *ms: int):
     """The candidates of an m = 2 or m = 3 problem, their checked matrix and its tie keys,
     most significant last: the smaller tau1 wins for m = 2, the smaller tau1 + tau2
     and then the smaller tau1 for m = 3."""
-    if (m := problem.cfg_base.m) not in ms:
+    if (m := check_arg("problem", problem, OptimizationProblem).cfg_base.m) not in ms:
         raise DomainError(f"{name} needs m = {' or '.join(map(str, ms))}, got m = {m}")
     candidates = [(1.0, t) for t in problem.tau_grid] if m == 2 else triangle_candidates(problem.tau_grid)
     taus = tau_matrix(problem.cfg_base.scheme, m, candidates)
@@ -160,10 +159,7 @@ def optimize_tau12(problem: OptimizationProblem) -> OptimizationReport:
 def sweep(problem: OptimizationProblem, snrs_db: Sequence[float]) -> list[OptimizationReport]:
     """One optimisation per SNR, of tau1 (m = 2) or (tau1, tau2) (m = 3); the
     candidates, the fading partition and one path walk serve every SNR."""
-    if len(snrs_db) == 0:
-        raise DomainError("SNR list must be nonempty")
-    for snr_db in snrs_db:
-        check_real("SNR in dB", snr_db)
+    check_arg("SNR list snrs_db", snrs_db, SEQUENCE)
     candidates, taus, ties = _candidates(problem, "sweep", 2, 3)
     chains = [_chain(at_snr(problem.channel, snr_db)) for snr_db in snrs_db]
     q, P, _ = chains[0]  # at_snr keeps a model's q and P

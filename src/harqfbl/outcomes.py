@@ -30,9 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, HarqFblError, ResourceLimitError
-from .fbl import (DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_length, check_real, check_snr,
-                  round_stepper)
+from .errors import COUNT, REAL, SEQUENCE, DomainError, HarqFblError, ResourceLimitError, check_arg
+from .fbl import DEFAULT_KERNEL, CodeParams, KernelOptions, Scheme, check_snr, round_stepper
 from .fsmc import FsmcModel
 
 DEFAULT_PATH_BUDGET = 10_000_000
@@ -56,7 +55,7 @@ def tau_matrix(scheme: Scheme, m: int, taus) -> np.ndarray:
         raise DomainError(f"tau candidates must be rows of {m} coefficients") from None
     if T.dtype == object:  # Fractions, say; each must be a real number
         for t in T.flat:
-            check_real("a coefficient", t)
+            check_arg("a coefficient", t, REAL)
         T = T.astype(float)
     if T.dtype.kind not in "biuf" or T.ndim != 2 or T.shape[1] != m or len(T) == 0:
         raise DomainError(f"expected a nonempty (candidates x {m}) array of coefficients, got {T.shape} {T.dtype}")
@@ -66,7 +65,7 @@ def tau_matrix(scheme: Scheme, m: int, taus) -> np.ndarray:
     outside = ~((0.0 < T) & (T <= 1.0))
     if outside.any():
         raise DomainError(f"coefficients must lie in (0, 1], got {T[outside][0]}")
-    if scheme is Scheme.CC and np.any(T != 1.0):
+    if Scheme(scheme) is Scheme.CC and np.any(T != 1.0):
         raise DomainError("chase combining repeats the full codeword; all taus must be 1")
     return T
 
@@ -85,7 +84,9 @@ class HarqConfig:
     taus: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        check_length("transmission budget m", self.m)
+        check_arg("code", self.code, CodeParams)
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        check_arg("transmission budget m", self.m, COUNT)
         tau_matrix(self.scheme, self.m, [self.taus])
 
     def round_lengths(self) -> tuple[int, ...]:
@@ -110,8 +111,8 @@ class OutcomeDistribution:
     p_e: float
 
     def __post_init__(self) -> None:
-        for x in (*self.p, self.p_e):
-            check_real("an outcome probability", x)
+        for x in (*check_arg("p", self.p, SEQUENCE), self.p_e):
+            check_arg("an outcome probability", x, REAL)
         _check_probabilities(np.array([*self.p, self.p_e], dtype=float))
 
     @property
@@ -120,7 +121,7 @@ class OutcomeDistribution:
 
 
 def _check_budget(n_states: int, m: int, budget: int) -> None:
-    check_length("path budget", budget)
+    check_arg("path budget", budget, COUNT)
     nodes = 0
     for depth in range(1, m + 1):
         nodes += n_states ** depth
@@ -150,7 +151,7 @@ def _chain(channel: float | FsmcModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if isinstance(channel, FsmcModel):
         chain = (channel.q, channel.transitions, channel.state_snrs)
     else:
-        check_real("a channel that is not an FsmcModel", channel)
+        check_arg("a channel that is not an FsmcModel", channel, REAL)
         chain = ((1.0,), ((1.0,),), (channel,))
     return tuple(np.asarray(x, dtype=float) for x in chain)
 
@@ -201,7 +202,8 @@ def prefix_error_grid(cfg: HarqConfig, taus, channel: float | FsmcModel,
     for a block of at most _BLOCK_ELEMENTS live paths x prefixes at a time.
     A sum of path probabilities that rounds above 1 is clamped to 1.
     """
-    return _walk(cfg, tau_matrix(cfg.scheme, cfg.m, taus), *_chain(channel), kernel, path_budget)
+    taus = tau_matrix(check_arg("cfg", cfg, HarqConfig).scheme, cfg.m, taus)
+    return _walk(cfg, taus, *_chain(channel), kernel, path_budget)
 
 
 def telescope(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +241,8 @@ def outcome_on(cfg: HarqConfig, channel: float | FsmcModel,
                kernel: KernelOptions = DEFAULT_KERNEL,
                path_budget: int = DEFAULT_PATH_BUDGET) -> OutcomeDistribution:
     """Resolution-event distribution of cfg on a linear SNR or on an FsmcModel."""
-    p, p_e = telescope(_walk(cfg, np.array([cfg.taus], dtype=float), *_chain(channel), kernel, path_budget))
+    taus = np.array([check_arg("cfg", cfg, HarqConfig).taus], dtype=float)  # checked when cfg was built
+    p, p_e = telescope(_walk(cfg, taus, *_chain(channel), kernel, path_budget))
     return OutcomeDistribution(tuple(p[:, 0].tolist()), float(p_e[0]))
 
 
@@ -250,5 +253,6 @@ def outcomes_awgn(cfg: HarqConfig, gamma: float, kernel: KernelOptions = DEFAULT
 
 def throughput(cfg: HarqConfig, outcome: OutcomeDistribution) -> float:
     """Throughput of one configuration; see throughput_grid."""
-    p = np.array(outcome.p, dtype=float)[:, None]
-    return float(throughput_grid(cfg, np.array([cfg.taus], dtype=float), p, outcome.p_e)[0])
+    taus = np.array([check_arg("cfg", cfg, HarqConfig).taus], dtype=float)
+    p = np.array(check_arg("outcome", outcome, OutcomeDistribution).p, dtype=float)[:, None]
+    return float(throughput_grid(cfg, taus, p, outcome.p_e)[0])

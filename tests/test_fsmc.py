@@ -291,7 +291,7 @@ class TestTargetC:
                 continue
             assert best <= abs(other.c - target) + 1e-12
 
-    @pytest.mark.parametrize("c_target", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("c_target", [math.nan, math.inf, -math.inf, "x"])
     def test_non_finite_target_rejected(self, c_target):
         with pytest.raises(DomainError, match="c_target"):
             from_target_c(c_target, 200.0, 1.4e-4, 10.0, 8)
@@ -353,19 +353,37 @@ class TestSerialization:
 class TestBuilderArguments:
     # (f_d, t_tb, avg_snr) of a valid L = 4 model
     GOOD = (100.0, 0.001, 10.0)
-    BAD = [0.0, -1.0, math.nan, math.inf]
+    # a string or None f_d or t_tb was a TypeError from f_d * t_tb, formed before the checks
+    BAD = [0.0, -1.0, math.nan, math.inf, "x", None]
 
-    @pytest.mark.parametrize("build", ["equal", "fixed"])
+    @pytest.mark.parametrize("build", ["equal", "fixed", "target"])
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["f_d", "t_tb", "avg_snr"])
-    @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf", "string", "none"])
     def test_builders_reject(self, build, position, value):
         args = list(self.GOOD)
         args[position] = value
         with pytest.raises(DomainError, match="must be positive and finite"):
             if build == "equal":
                 build_equal_duration(4, *args)
-            else:
+            elif build == "fixed":
                 build_fixed_sojourn(4, 1.5, *args)
+            else:
+                from_target_c(3.0, *args, 4)
+
+    @pytest.mark.parametrize("build", ["equal", "fixed"])
+    @pytest.mark.parametrize("L", [math.nan, "x", 4.0, True, None], ids=["nan", "string", "float", "bool", "none"])
+    def test_builders_reject_a_state_count_that_is_not_an_integer(self, build, L):
+        # NaN ended in a ZeroDivisionError in build_fixed_sojourn, and 'x' in a TypeError in both
+        with pytest.raises(DomainError, match="state count L must be a positive integer"):
+            if build == "equal":
+                build_equal_duration(L, *self.GOOD)
+            else:
+                build_fixed_sojourn(L, 1.5, *self.GOOD)
+
+    @pytest.mark.parametrize("c", ["x", None, True])
+    def test_fixed_sojourn_rejects_a_c_that_is_not_a_number(self, c):
+        with pytest.raises(DomainError, match="c must be a real number"):
+            build_fixed_sojourn(4, c, *self.GOOD)
 
     @pytest.mark.parametrize("c", [math.nan, 0.5, -math.inf])
     def test_fixed_sojourn_rejects_bad_c(self, c):
@@ -387,7 +405,7 @@ class TestBuilderArguments:
         with pytest.raises(ConstructionError, match=match):
             build_fixed_sojourn(*args)
 
-    @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("value", BAD, ids=["zero", "negative", "nan", "inf", "string", "none"])
     def test_with_avg_snr_rejects(self, value):
         model = build_fixed_sojourn(4, 1.5, *self.GOOD)
         with pytest.raises(DomainError, match="avg_snr"):
