@@ -222,7 +222,6 @@ def cmd_optimize(cfg: dict[str, Any]) -> int:
         channel=_channel(cfg, cfg["snr_db"][0]),
         per_ceiling=cfg["zeta0"],
         tau_grid=_tau_grid(cfg),
-        constraint=cfg.get("constraint", "ceiling"),
         kernel=_kernel(cfg),
     )
     reports = sweep(problem, cfg["snr_db"])

@@ -84,9 +84,7 @@ KEY_PARSERS: dict[str, Callable[[str], Any]] = {
     "c": float,
     "partitioning": _parse_choice("equal-duration", "fixed-sojourn"),
     "zeta0": float,
-    "constraint": _parse_choice("ceiling", "floor"),
     "dispersion_units": _parse_choice("nats2", "bits2"),
-    "cc_denominator": _parse_choice("sqrt_nv", "n_sqrt_v"),
     "trials": int,
     "packets": int,
     "n_packets": int,

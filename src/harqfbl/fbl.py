@@ -120,18 +120,16 @@ class KernelOptions:
         the calibration behind the bundled presets and the test suite's
         reference operating points.  "bits2" scales the dispersion by
         log2(e)^2, which is the fully bits-consistent normal approximation.
-    cc_denominator
-        "sqrt_nv" (default) divides by sqrt(n * V(sum of SNRs)).
-        "n_sqrt_v" divides by n * sqrt(V), an alternative chase-combining
-        normalisation kept for comparison; with it the one-round chase and
-        incremental kernels no longer coincide.
+
+    Chase combining always divides by sqrt(n * V(sum of SNRs)), the normal
+    approximation's sqrt(nV), so one round of it equals one round of
+    incremental redundancy on the same code.
     """
 
     dispersion_units: str = "nats2"
-    cc_denominator: str = "sqrt_nv"
 
     def __post_init__(self) -> None:
-        check_fields(self, dispersion_units=one_of("nats2", "bits2"), cc_denominator=one_of("sqrt_nv", "n_sqrt_v"))
+        check_fields(self, dispersion_units=one_of("nats2", "bits2"))
 
     @property
     def dispersion_scale(self) -> float:
@@ -280,13 +278,12 @@ def round_stepper(
     # np.power, not **, so that scalars and arrays round alike
     if Scheme(scheme) is Scheme.CC:
         log2_n = math.log2(n)
-        root_nv = kernel.cc_denominator == "sqrt_nv"
 
         def step_cc(carry, depth, gamma):
             gsum = carry[0] + gamma
             cap = n * np.log2(1.0 + gsum)
             v = (1.0 - np.power(1.0 + gsum, -2.0)) * scale
-            return (gsum,), tail(cap, k, cap - k + log2_n, v, np.sqrt(n * v) if root_nv else n * np.sqrt(v))
+            return (gsum,), tail(cap, k, cap - k + log2_n, v, np.sqrt(n * v))
 
         return step_cc, (0.0,)
 

@@ -384,6 +384,9 @@ def validate_fsmc(model: FsmcModel, trace: FadingTrace, n_blocks: int = 100) -> 
     L = model.n_states
     n = len(states)
     block = max(1, n // n_blocks)
+    if n // block < 2:  # a standard error needs two blocks
+        raise DomainError(f"validation needs two blocks or more; a trace of {n} samples forms {n // block} "
+                          f"with n_blocks = {n_blocks}")
 
     def block_counts(keys: np.ndarray, bins: int) -> np.ndarray:
         # (blocks, bins) counts of keys in each whole block, by one bincount of block_id * bins + key

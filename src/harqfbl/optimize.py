@@ -1,4 +1,4 @@
-"""Grid search of retransmission coefficients under a PER constraint.
+"""Grid search of retransmission coefficients under a PER ceiling.
 
 A channel is either a linear SNR or an FsmcModel.  outcome_grid evaluates
 a whole grid of candidate taus in one batch and returns PER and throughput
@@ -15,8 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DB, NONNEGATIVE_FINITE, PROBABILITY, REAL, SEQUENCE, Domain, DomainError, check_arg, check_fields,
-                     one_of)
+from .errors import DB, NONNEGATIVE_FINITE, PROBABILITY, REAL, SEQUENCE, Domain, DomainError, check_arg, check_fields
 from .fading import outcomes_fading  # noqa: F401  harqbench's traced-run test reads it from this module
 from .fbl import DEFAULT_KERNEL, KernelOptions, db_to_linear
 from .fsmc import FsmcModel
@@ -65,36 +64,28 @@ class OptimizationProblem:
     """Throughput maximisation over tau subject to a residual-PER ceiling.
 
     channel is either a linear SNR (fixed-SNR evaluation) or an FsmcModel.
-    constraint "ceiling" keeps points with PER <= per_ceiling; "floor"
-    inverts the inequality, matching the alternative reading of the
-    constraint direction.
+    A point is feasible when its PER <= per_ceiling.
     """
 
     cfg_base: HarqConfig
     channel: float | FsmcModel
     per_ceiling: float
     tau_grid: tuple[float, ...] = COARSE_TAU_GRID
-    constraint: str = "ceiling"
     kernel: KernelOptions = DEFAULT_KERNEL
     path_budget: int = DEFAULT_PATH_BUDGET
 
     def __post_init__(self) -> None:
         if not isinstance(self.channel, FsmcModel):  # _chain's rule, checked before any entry point
             check_arg("a channel that is not an FsmcModel", self.channel, REAL)
-        check_fields(self, cfg_base=HarqConfig, per_ceiling=_UNIT, constraint=one_of("ceiling", "floor"))
+        check_fields(self, cfg_base=HarqConfig, per_ceiling=_UNIT)
         check_tau_grid(self.tau_grid)
-
-    def is_feasible(self, per):  # a number or an array
-        if self.constraint == "ceiling":
-            return per <= self.per_ceiling
-        return per >= self.per_ceiling
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
     """Winner plus the full (tau, PER, throughput) frontier.
 
-    When no grid point satisfies the constraint, feasible is False and the
+    When no grid point meets the PER ceiling, feasible is False and the
     reported point is the best-effort minimum-PER one.
     """
 
@@ -112,7 +103,7 @@ class OptimizationReport:
 
 def _report(problem: OptimizationProblem, candidates: list[tuple[float, ...]], ties: tuple[np.ndarray, ...],
             per: np.ndarray, tp: np.ndarray, snr_db: float | None = None) -> OptimizationReport:
-    feasible = problem.is_feasible(per)
+    feasible = per <= problem.per_ceiling
     rows = zip(candidates, per.tolist(), tp.tolist(), feasible.tolist())
     frontier = tuple(map(tuple.__new__, repeat(FrontierPoint), rows))  # FrontierPoint(*row) without its __new__
     # the feasible point of highest throughput, or failing that the one of lowest PER, then the tie keys

@@ -329,13 +329,12 @@ class TestCommands:
             "preset = table1a_fast\nL = 13\n"
         )
         assert main(["optimize", "--config", str(infeasible), "--out", str(tmp_path)]) == EXIT_CONSTRUCTION
-        # 13^9 state paths blow the default enumeration budget
-        huge = tmp_path / "huge.cfg"
-        huge.write_text(
-            "preset = fig4a\nm = 9\ntaus = 1.0,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5\n"
-            "tau_grid = 0.5\n"
-        )
-        assert main(["per-curve", "--config", str(huge), "--out", str(tmp_path)]) == EXIT_RESOURCE
+        # fig4a at m = 13 has 7.5 M live state paths, under the default budget of 10 M, but the fine
+        # grid's 100 values of tau1 give each path from depth 2 on 100 carries: refused at depth 9
+        deep = tmp_path / "deep.cfg"
+        deep.write_text(f"preset = fig4a\nm = 13\ntaus = 1.0{',0.5' * 12}\ntau_grid = fine\n")
+        assert main(["per-curve", "--config", str(deep), "--out", str(tmp_path)]) == EXIT_RESOURCE
+        assert "needs 10127013+ nodes for L=13, m=13" in capsys.readouterr().err
         # 7-digit taus put one packet on a lattice of 2e11 points, over the atom budget
         fine = tmp_path / "fine.cfg"
         fine.write_text("preset = fig3\nm = 3\ntaus = 1.0,0.1234567,0.2345671\nschemes = IR\n")

@@ -55,7 +55,7 @@ def _api() -> dict:
     trace = generate_trace(100.0, 1e-4, 2_000, 1)
     outcome = OutcomeDistribution((0.9, 0.09), 0.01)
     pmf = DelayPmf((1, 2), (0.9, 0.1), 0.0)
-    problem = OptimizationProblem(cfg, 10.0, 0.01, COARSE_TAU_GRID, "ceiling", DEFAULT_KERNEL, 1_000)
+    problem = OptimizationProblem(cfg, 10.0, 0.01, COARSE_TAU_GRID, DEFAULT_KERNEL, 1_000)
     record = TransmissionRecord((1.0, 2.0), (100, 60))
     return {
         "CodeParams": ((100, 70), None),
@@ -64,8 +64,8 @@ def _api() -> dict:
         "FadingTrace": ((trace.samples, 100.0, 1e-4, 1, 64), None),
         "FsmcModel": (fields_of_model, None),
         "HarqConfig": ((CodeParams(100, 70), Scheme.IR, 2, (1.0, 0.6)), None),
-        "KernelOptions": (("nats2", "sqrt_nv"), None),
-        "OptimizationProblem": ((cfg, 10.0, 0.01, COARSE_TAU_GRID, "ceiling", DEFAULT_KERNEL, 1_000), optimize_tau1),
+        "KernelOptions": (("nats2",), None),
+        "OptimizationProblem": ((cfg, 10.0, 0.01, COARSE_TAU_GRID, DEFAULT_KERNEL, 1_000), optimize_tau1),
         # a report of sweep's at +-inf dB (db_to_linear gives inf and 0), or made by optimize_tau1 (no SNR)
         "OptimizationReport": (((1.0, 0.5), 0.001, 0.6, True, (((1.0, 0.5), 0.001, 0.6, True),), 10.0), None,
                                {5: (math.inf, -math.inf, None)}),

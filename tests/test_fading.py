@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from harqfbl import (
 )
 from harqfbl.outcomes import _BLOCK_ELEMENTS, _prefix_tree, prefix_error_grid, round_lengths
 from harqfbl.fbl import TransmissionRecord
-from harqfbl.optimize import FINE_TAU_GRID
+from harqfbl.optimize import FINE_TAU_GRID, OptimizationProblem, sweep
 
 
 def fig4a_model(snr_db=11.5):
@@ -49,11 +50,11 @@ def ir_cfg(k, taus):
     return HarqConfig(CodeParams(100, k), Scheme.IR, len(taus), tuple(taus))
 
 
-KERNELS = [KernelOptions(), KernelOptions(dispersion_units="bits2"), KernelOptions(cc_denominator="n_sqrt_v")]
+KERNELS = [KernelOptions(), KernelOptions(dispersion_units="bits2")]
 
 
 class TestOutcomesFading:
-    @pytest.mark.parametrize("kernel", KERNELS, ids=["default", "bits2", "n_sqrt_v"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["default", "bits2"])
     @pytest.mark.parametrize(
         "cfg",
         [ir_cfg(100, (1.0, 0.58)), HarqConfig(CodeParams(100, 100), Scheme.CC, 2, (1.0, 1.0))],
@@ -199,11 +200,75 @@ class TestOutcomesFading:
             outcomes_fading(query)
 
 
+def uniform_chain(L, gamma, transitions):
+    """L states of one SNR gamma, uniform marginal, the given transition matrix."""
+    return FsmcModel(thresholds=(*map(float, range(L)), math.inf), q=(1.0 / L,) * L, transitions=transitions,
+                     state_snrs=(gamma,) * L, avg_snr=gamma, f_d=100.0, t_tb=1e-4, c=5.0)
+
+
+class TestPathBudget:
+    """path_budget bounds the live state-path nodes the walk builds, summed over the depths, each path
+    counted once per distinct prefix of round lengths and per SNR."""
+
+    M7 = ir_cfg(70, (1.0, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
+
+    def test_l13_at_m7_counts_11787_live_nodes(self):
+        model = fig4a_model()
+        adjacent = (np.asarray(model.transitions) > 0.0).astype(np.int64)
+        live, nodes = (np.asarray(model.q) > 0.0).astype(np.int64), 0
+        for _ in range(7):
+            nodes, live = nodes + live.sum(), live @ adjacent
+        assert nodes == 11_787  # 13 + 13^2 + ... + 13^7 is 68 M
+        A = prefix_error_grid(self.M7, [self.M7.taus], model)  # the default budget of 10 M
+        assert prefix_error_grid(self.M7, [self.M7.taus], model, path_budget=11_787).tolist() == A.tolist()
+        with pytest.raises(ResourceLimitError, match="needs 11787\\+ nodes for L=13, m=7"):
+            prefix_error_grid(self.M7, [self.M7.taus], model, path_budget=11_786)
+
+    def test_each_distinct_prefix_counts_its_paths_again(self):
+        # a second candidate with its own tau1 holds a second carry for every path from depth 2 on
+        taus = [self.M7.taus, (1.0, 0.5, *self.M7.taus[2:])]
+        prefix_error_grid(self.M7, taus, fig4a_model(), path_budget=13 + 2 * (11_787 - 13))
+        with pytest.raises(ResourceLimitError, match="needs 23561\\+ nodes"):
+            prefix_error_grid(self.M7, taus, fig4a_model(), path_budget=23_560)
+
+    def test_each_snr_of_a_sweep_counts_its_paths_again(self):
+        # 13 + 37 live nodes at m = 2, for each of two SNRs
+        def problem(budget):
+            return OptimizationProblem(ir_cfg(70, (1.0, 1.0)), fig4a_model(), 0.01, (0.6,), path_budget=budget)
+
+        assert len(sweep(problem(100), (11.5, 12.5))) == 2
+        with pytest.raises(ResourceLimitError, match="needs 100\\+ nodes"):
+            sweep(problem(99), (11.5, 12.5))
+
+    def test_300_state_identity_chain_walks(self):
+        # 900 live nodes, where a dense count would be 27 M; every path sees gamma
+        gamma, cfg = db_to_linear(-1.0), ir_cfg(70, (1.0, 0.6, 0.4))
+        chain = uniform_chain(300, gamma, tuple(tuple(float(i == j) for j in range(300)) for i in range(300)))
+        A = prefix_error_grid(cfg, [cfg.taus], chain, path_budget=900)
+        assert A[:, 0] == pytest.approx(prefix_error_grid(cfg, [cfg.taus], gamma)[:, 0], rel=1e-12)
+        with pytest.raises(ResourceLimitError, match="needs 900\\+ nodes"):
+            prefix_error_grid(cfg, [cfg.taus], chain, path_budget=899)
+
+    def test_refused_before_the_level_is_built(self):
+        # a dense 100-state chain: 100 and 10,000 nodes fit a budget of 20,000, the 1 M of depth 3 do not,
+        # and building them would take 16 MB of path indices alone
+        cfg = ir_cfg(70, (1.0, 0.6, 0.4))
+        chain = uniform_chain(100, db_to_linear(-1.0), ((0.01,) * 100,) * 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="needs 1010100\\+ nodes"):
+                prefix_error_grid(cfg, [cfg.taus], chain, path_budget=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
+
 class TestPrefixErrorGrid:
     @pytest.mark.parametrize(
         "kernel",
-        [KernelOptions(units, den) for units in ("nats2", "bits2") for den in ("sqrt_nv", "n_sqrt_v")],
-        ids=lambda k: f"{k.dispersion_units}-{k.cc_denominator}",
+        [KernelOptions(units) for units in ("nats2", "bits2")],
+        ids=lambda k: k.dispersion_units,
     )
     @pytest.mark.parametrize("scheme", [Scheme.IR, Scheme.CC], ids=["IR", "CC"])
     def test_batch_equals_single_candidates(self, scheme, kernel):

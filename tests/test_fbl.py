@@ -185,15 +185,14 @@ class TestEps:
 
 SCREEN_CODES = [CodeParams(100, 70), CodeParams(100, 90), CodeParams(32, 5), CodeParams(2048, 1500),
                 CodeParams(1024, 10)]
-SCREEN_KERNELS = [KernelOptions(), KernelOptions("bits2"), KernelOptions(cc_denominator="n_sqrt_v"),
-                  KernelOptions("bits2", "n_sqrt_v")]
+SCREEN_KERNELS = [KernelOptions(), KernelOptions("bits2")]
 
 
 class TestScreenSnr:
-    """_screen_snr's g_hi: from it on, round 1's computed Q argument clears the tail screen."""
+    """_screen_snr's g_hi: from it on, round 1's computed Q argument is at least _SCREEN_X."""
 
     @pytest.mark.parametrize("code", SCREEN_CODES, ids=[f"n{c.n}-k{c.k}" for c in SCREEN_CODES])
-    @pytest.mark.parametrize("kernel", SCREEN_KERNELS, ids=["nats2", "bits2", "n_sqrt_v", "bits2-n_sqrt_v"])
+    @pytest.mark.parametrize("kernel", SCREEN_KERNELS, ids=["nats2", "bits2"])
     @pytest.mark.parametrize("scheme", [Scheme.IR, Scheme.CC])
     def test_round_one_clears_the_screen_from_g_hi_on(self, monkeypatch, code, kernel, scheme):
         # the arguments _erfc receives from the unscreened step, on a dense log grid from g_hi
@@ -339,8 +338,7 @@ def _cc_oracle_mp(n, k, gamma_sum, kernel=KernelOptions()):
     if kernel.dispersion_units == "bits2":
         v *= (1 / mp.log(2)) ** 2
     num = n * mp.log(1 + g, 2) - k + mp.log(n, 2)
-    den = mp.sqrt(n * v) if kernel.cc_denominator == "sqrt_nv" else n * mp.sqrt(v)
-    return float(mp.erfc(num / den / mp.sqrt(2)) / 2)
+    return float(mp.erfc(num / mp.sqrt(n * v) / mp.sqrt(2)) / 2)
 
 
 class TestPerCc:
@@ -384,13 +382,6 @@ class TestPerCc:
         g = db_to_linear(-2.0)
         pers = [per_cc(code, [g] * m) for m in range(1, 5)]
         assert all(b <= a for a, b in zip(pers, pers[1:]))
-
-    def test_literal_denominator_variant(self):
-        g = db_to_linear(-1.0)
-        kernel = KernelOptions(cc_denominator="n_sqrt_v")
-        got = per_cc(CodeParams(100, 100), [g], kernel)
-        assert got == pytest.approx(_cc_oracle_mp(100, 100, g, kernel), abs=1e-13)
-        assert got != per_cc(CodeParams(100, 100), [g])
 
     def test_bits2_dispersion_variant(self):
         g = db_to_linear(-1.0)

@@ -431,8 +431,8 @@ SURVIVOR_CFGS = [
     HarqConfig(CodeParams(100, 90), Scheme.CC, 3, (1.0, 1.0, 1.0)),
 ]
 SURVIVOR_IDS = [f"{c.scheme.value}-m{c.m}" for c in SURVIVOR_CFGS]
-KERNELS = [KernelOptions(), KernelOptions("bits2"), KernelOptions(cc_denominator="n_sqrt_v")]
-KERNEL_IDS = ["nats2", "bits2", "n_sqrt_v"]
+KERNELS = [KernelOptions(), KernelOptions("bits2")]
+KERNEL_IDS = ["nats2", "bits2"]
 # uniforms below, at and above _SCREEN_U, and up to 5e-8, past eps at 0.97 g_hi
 SCREEN_EDGE_U = [0.0, 1e-9, 5e-9, math.nextafter(1e-8, 0.0), 1e-8, 1.1e-8, 1.25e-8, 1.5e-8, 2e-8, 5e-8, 1e-7, 0.5]
 
@@ -472,7 +472,7 @@ class TestSurvivorRule:
 
     @pytest.mark.parametrize("cfg", SURVIVOR_CFGS[1:3] + SURVIVOR_CFGS[4:], ids=SURVIVOR_IDS[1:3] + SURVIVOR_IDS[4:])
     @pytest.mark.parametrize("snr_db, screened", [(-3.0, False), (14.0, True)], ids=["low", "high"])
-    def test_matches_the_dense_rule_on_both_sides_of_the_tail_screen(self, monkeypatch, cfg, snr_db, screened):
+    def test_matches_the_dense_rule_on_both_sides_of_the_snr_screen(self, monkeypatch, cfg, snr_db, screened):
         # at -3 dB almost every round takes the exact Gaussian tail; at 14 dB the screen
         # decides most first rounds without it, on every channel and with m = 2 and 3
         values = []
@@ -764,6 +764,17 @@ class TestValidateFsmc:
         trace = generate_trace(210.0, 0.00014, 1_000, 1)
         with pytest.raises(DomainError, match="n_blocks"):
             validate_fsmc(l13_model, trace, n_blocks)
+
+    def test_one_block_is_refused(self, l13_model):
+        # one block has no standard error, and would give NaN and no flags
+        trace = generate_trace(210.0, 0.00014, 1_000, 1)
+        with pytest.raises(DomainError, match="two blocks"):
+            validate_fsmc(l13_model, trace, 1)
+
+    def test_one_sample_trace_is_refused(self, l13_model):
+        trace = FadingTrace(np.array([1.0 + 0.0j]), 210.0, 0.00014, 0, 64)
+        with pytest.raises(DomainError, match="two blocks"):
+            validate_fsmc(l13_model, trace)
 
     def test_two_state_occupancy_within_three_sigma(self):
         model = build_equal_duration(2, 210.0, 0.00014, 10.0)

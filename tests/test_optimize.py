@@ -101,14 +101,6 @@ class TestOptimizeTau1:
         assert report.achieved_per == min(p.per for p in report.frontier)
         assert report.achieved_per > 0.01
 
-    def test_floor_constraint_direction(self):
-        problem = OptimizationProblem(
-            base_cfg(100), db_to_linear(-1.0), per_ceiling=0.5, constraint="floor"
-        )
-        report = optimize_tau1(problem)
-        assert report.feasible
-        assert report.achieved_per >= 0.5
-
     def test_fine_grid_available(self):
         problem = OptimizationProblem(
             base_cfg(70), db_to_linear(-1.0), per_ceiling=1e-4, tau_grid=FINE_TAU_GRID
@@ -343,12 +335,11 @@ def former_pick(frontier, m):
 class TestWinnerRule:
     # two throughputs and four PERs, so that exact ties are common
     @settings(max_examples=300, deadline=None)
-    @given(m=st.sampled_from([2, 3]), constraint=st.sampled_from(["ceiling", "floor"]),
-           per_ceiling=st.sampled_from([1e-4, 0.01, 0.3, 1.0]),
+    @given(m=st.sampled_from([2, 3]), per_ceiling=st.sampled_from([1e-4, 0.01, 0.3, 1.0]),
            grid=st.lists(st.sampled_from(COARSE_TAU_GRID), min_size=1, max_size=7, unique=True).map(sorted),
            data=st.data())
-    def test_array_pick_is_the_former_max_rule(self, m, constraint, per_ceiling, grid, data):
-        problem = OptimizationProblem(base_cfg(70, m=m), 1.0, per_ceiling, tuple(grid), constraint)
+    def test_array_pick_is_the_former_max_rule(self, m, per_ceiling, grid, data):
+        problem = OptimizationProblem(base_cfg(70, m=m), 1.0, per_ceiling, tuple(grid))
         count = len(grid) if m == 2 else len(grid) * (len(grid) + 1) // 2
 
         def values(pool):

@@ -20,7 +20,7 @@ from harqfbl import (
     throughput,
 )
 from harqfbl.fbl import TransmissionRecord
-from harqfbl.outcomes import prefix_error_grid, telescope
+from harqfbl.outcomes import prefix_error_grid, tau_matrix, telescope
 
 
 def make_ir(n, k, taus):
@@ -53,6 +53,16 @@ class TestHarqConfig:
     def test_taus_must_be_real_numbers(self, taus):
         with pytest.raises(DomainError):
             make_ir(100, 70, taus)
+
+    @pytest.mark.parametrize("taus", [(True, 0.5), (1.0, True), (np.True_, 0.5)])
+    def test_bool_taus_rejected(self, taus):
+        # numpy reads (True, 0.5) as the floats (1.0, 0.5), so each entry's type is checked
+        with pytest.raises(DomainError, match="a coefficient must be a real number"):
+            make_ir(100, 70, taus)
+
+    def test_tau_matrix_rejects_a_bool_array(self):
+        with pytest.raises(DomainError, match="bool"):
+            tau_matrix(Scheme.IR, 2, np.ones((3, 2), dtype=bool))
 
     def test_fraction_taus_evaluate_like_floats(self):
         exact = make_ir(100, 70, [Fraction(1), Fraction(1, 2)])
