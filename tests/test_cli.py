@@ -39,6 +39,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"file.cfg:3: unknown key 'bogus'"):
             parse_config_text("n = 100\n# comment\nbogus = 1\n", source="file.cfg")
 
+    @pytest.mark.parametrize("line", ["cc_denominator = n_sqrt_v", "constraint = floor"])
+    def test_removed_keys_are_unknown(self, line):
+        # chase combining has one denominator and the PER bound one direction, so neither key is read
+        with pytest.raises(ConfigError, match=f"<config>:2: unknown key '{line.split()[0]}'"):
+            parse_config_text(f"n = 100\n{line}\n")
+
     def test_bad_value_with_line_number(self):
         with pytest.raises(ConfigError, match=r"<config>:1: bad value for 'n'"):
             parse_config_text("n = ten\n")

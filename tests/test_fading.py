@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -223,6 +224,30 @@ class TestPathBudget:
         assert prefix_error_grid(self.M7, [self.M7.taus], model, path_budget=11_787).tolist() == A.tolist()
         with pytest.raises(ResourceLimitError, match="needs 11787\\+ nodes for L=13, m=7"):
             prefix_error_grid(self.M7, [self.M7.taus], model, path_budget=11_786)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 7])
+    @pytest.mark.parametrize("chain", ["fig4a", "banded", "transient", "cycle"])
+    def test_budget_boundary_is_the_live_path_count(self, chain, m):
+        # the live paths of each depth, counted by powers of the adjacency matrix: a budget of exactly
+        # their sum walks and gives the default budget's values, one node less is refused
+        gamma = db_to_linear(-1.0)
+        banded = [[0.5 * (i == j) + 0.25 * (abs(i - j) == 1) + 0.25 * (i == j and i in (0, 5)) for j in range(6)]
+                  for i in range(6)]
+        model = {
+            "fig4a": fig4a_model(),
+            "banded": uniform_chain(6, gamma, tuple(map(tuple, banded))),
+            "transient": dataclasses.replace(uniform_chain(3, gamma, ((0.0, 0.5, 0.5),) * 3), q=(0.0, 0.5, 0.5)),
+            "cycle": uniform_chain(5, gamma, tuple(tuple(float(j == (i + 1) % 5) for j in range(5)) for i in range(5))),
+        }[chain]
+        adjacent = (np.asarray(model.transitions) > 0.0).astype(np.int64)
+        live, nodes = (np.asarray(model.q) > 0.0).astype(np.int64), 0
+        for _ in range(m):
+            nodes, live = nodes + int(live.sum()), live @ adjacent
+        cfg = ir_cfg(70, (1.0, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)[:m])
+        A = prefix_error_grid(cfg, [cfg.taus], model)
+        assert prefix_error_grid(cfg, [cfg.taus], model, path_budget=nodes).tolist() == A.tolist()
+        with pytest.raises(ResourceLimitError, match=f"needs {nodes}\\+ nodes for L={model.n_states}, m={m}"):
+            prefix_error_grid(cfg, [cfg.taus], model, path_budget=nodes - 1)
 
     def test_each_distinct_prefix_counts_its_paths_again(self):
         # a second candidate with its own tau1 holds a second carry for every path from depth 2 on

@@ -383,6 +383,15 @@ class TestPerCc:
         pers = [per_cc(code, [g] * m) for m in range(1, 5)]
         assert all(b <= a for a, b in zip(pers, pers[1:]))
 
+    @pytest.mark.parametrize("code", SCREEN_CODES, ids=[f"n{c.n}-k{c.k}" for c in SCREEN_CODES])
+    @pytest.mark.parametrize("kernel", SCREEN_KERNELS, ids=["nats2", "bits2"])
+    def test_one_round_equals_incremental_redundancy(self, code, kernel):
+        # both divide by sqrt(nV) of the same n-symbol round, so one round of either is one kernel
+        for snr_db in (-5.0, -1.0, 3.0, 10.0):
+            g = db_to_linear(snr_db)
+            ir = per_ir(code, TransmissionRecord((g,), (code.n,)), kernel)
+            assert per_cc(code, [g], kernel) == pytest.approx(ir, rel=1e-12, abs=1e-300)
+
     def test_bits2_dispersion_variant(self):
         g = db_to_linear(-1.0)
         kernel = KernelOptions(dispersion_units="bits2")

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from itertools import chain
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -775,6 +777,17 @@ class TestValidateFsmc:
         trace = FadingTrace(np.array([1.0 + 0.0j]), 210.0, 0.00014, 0, 64)
         with pytest.raises(DomainError, match="two blocks"):
             validate_fsmc(l13_model, trace)
+
+    @pytest.mark.parametrize("samples, n_blocks", [(1_000, 2), (2, 100)])
+    def test_two_blocks_give_finite_errors(self, l13_model, samples, n_blocks):
+        # the least trace that validates: two blocks, whose spread is a finite standard error
+        trace = generate_trace(210.0, 0.00014, samples, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = validate_fsmc(l13_model, trace, n_blocks)
+        assert report.samples == samples
+        assert all(map(math.isfinite, report.q_se))
+        assert all(map(math.isfinite, chain.from_iterable(report.p_se)))
 
     def test_two_state_occupancy_within_three_sigma(self):
         model = build_equal_duration(2, 210.0, 0.00014, 10.0)

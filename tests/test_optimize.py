@@ -101,6 +101,16 @@ class TestOptimizeTau1:
         assert report.achieved_per == min(p.per for p in report.frontier)
         assert report.achieved_per > 0.01
 
+    def test_per_at_the_ceiling_is_feasible(self):
+        # a point is feasible when its PER <= per_ceiling: at a ceiling of exactly its PER it is, and
+        # one float below it it is not
+        cfg, gamma = base_cfg(70), db_to_linear(-1.0)
+        point = optimize_tau1(OptimizationProblem(cfg, gamma, per_ceiling=1.0)).frontier[3]
+        at = optimize_tau1(OptimizationProblem(cfg, gamma, per_ceiling=point.per)).frontier[3]
+        below = optimize_tau1(OptimizationProblem(cfg, gamma, per_ceiling=math.nextafter(point.per, 0.0))).frontier[3]
+        assert (at.taus, at.per, at.feasible) == (point.taus, point.per, True)
+        assert (below.taus, below.per, below.feasible) == (point.taus, point.per, False)
+
     def test_fine_grid_available(self):
         problem = OptimizationProblem(
             base_cfg(70), db_to_linear(-1.0), per_ceiling=1e-4, tau_grid=FINE_TAU_GRID

@@ -54,7 +54,7 @@ class TestHarqConfig:
         with pytest.raises(DomainError):
             make_ir(100, 70, taus)
 
-    @pytest.mark.parametrize("taus", [(True, 0.5), (1.0, True), (np.True_, 0.5)])
+    @pytest.mark.parametrize("taus", [(True, 0.5), (1.0, True), (np.True_, 0.5), (1.0, 0.5, True)])
     def test_bool_taus_rejected(self, taus):
         # numpy reads (True, 0.5) as the floats (1.0, 0.5), so each entry's type is checked
         with pytest.raises(DomainError, match="a coefficient must be a real number"):
