@@ -18,11 +18,11 @@ that computes A_1..A_m: it walks the state paths breadth-first over the
 nonzero transitions, and one fbl.round_stepper step advances all live
 paths of a depth for a block of the distinct prefixes of the rows of a
 (candidates x m) matrix of taus.  path_budget bounds the nodes the walk
-builds, summed over the depths, where a node is a live state path with one
-distinct prefix at one SNR: the carries the walk holds.  Each depth's count
-(the out-degrees of the states before it, times its prefixes and SNRs) is
-added before that depth is built, so a refused walk never builds the depth
-it refuses.  One candidate at one SNR on the 13-state model at m = 7 counts
+builds, summed over the depths.  A node is a live state path; below the
+last depth it counts once per distinct prefix and SNR, one carry each,
+while the last depth drops its carries block by block.  Each depth's count
+(from the out-degrees of the states before it) is added before that depth
+is built, so a refused walk never builds the depth it refuses.  One candidate at one SNR on the 13-state model at m = 7 counts
 11,787 nodes, not the 13 + ... + 13^7 of a dense chain.  The sampled
 counterpart, montecarlo.simulate_harq on a model, needs no budget.
 telescope and throughput_grid turn A into (p, p_e) and throughput for all
@@ -92,9 +92,7 @@ class HarqConfig:
         check_arg("code", self.code, CodeParams)
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         check_arg("transmission budget m", self.m, COUNT)
-        tau_matrix(self.scheme, self.m, [self.taus])
-        for t in self.taus:  # numpy reads (True, 0.5) as floats, so each entry's type is checked here
-            check_arg("a coefficient", t, REAL)
+        tau_matrix(self.scheme, self.m, np.array([self.taus], dtype=object))  # each entry's type is checked
 
     def round_lengths(self) -> tuple[int, ...]:
         """Symbol count per round; see round_lengths."""
@@ -159,16 +157,17 @@ def _walk(cfg: HarqConfig, taus: np.ndarray, q, P, snrs, kernel: KernelOptions, 
     check_arg("path budget", path_budget, COUNT)
     lengths = round_lengths(taus, cfg.code.n)
     tree, rows = _prefix_tree(lengths, cfg.code.n)
-    # live paths of each depth: last state, probability, index of the parent path.  A node is a live path
-    # with one distinct prefix (tree) at one SNR, one carry the walk holds; a depth's count, from the
-    # out-degrees of the states before it, is added to the total before the depth is built
+    # live paths of each depth: last state, probability, index of the parent path.  A depth's count, from
+    # the out-degrees of the states before it, is added to the total before the depth is built; below the
+    # last depth each live path holds one carry per distinct prefix (tree) and SNR, so it counts that often
     adjacent, n_snrs = P > 0.0, snrs[..., 0].size
     out_degree = np.count_nonzero(adjacent, axis=1)
+    held = [len(up) * n_snrs for up, _ in tree[:-1]] + [1]  # the last depth drops its carries block by block
     state = np.flatnonzero(q > 0.0)
-    levels, nodes = [(state, q[state], None)], len(state) * len(tree[0][0]) * n_snrs
+    levels, nodes = [(state, q[state], None)], len(state) * held[0]
     for depth in range(1, cfg.m):
         state, prob, _ = levels[-1]
-        nodes += int(out_degree[state].sum()) * len(tree[depth][0]) * n_snrs
+        nodes += int(out_degree[state].sum()) * held[depth]
         if nodes > path_budget:
             break
         parent, nxt = np.nonzero(adjacent[state])

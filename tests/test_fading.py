@@ -207,29 +207,26 @@ def uniform_chain(L, gamma, transitions):
                      state_snrs=(gamma,) * L, avg_snr=gamma, f_d=100.0, t_tb=1e-4, c=5.0)
 
 
+def live_paths(model, m):
+    """The live state paths of each depth 1..m, counted by powers of the adjacency matrix."""
+    adjacent = (np.asarray(model.transitions) > 0.0).astype(np.int64)
+    live, counts = (np.asarray(model.q) > 0.0).astype(np.int64), []
+    for _ in range(m):
+        counts, live = counts + [int(live.sum())], live @ adjacent
+    return counts
+
+
 class TestPathBudget:
-    """path_budget bounds the live state-path nodes the walk builds, summed over the depths, each path
-    counted once per distinct prefix of round lengths and per SNR."""
+    """path_budget bounds the live state-path nodes the walk builds, summed over the depths; below the
+    last depth each path counts once per distinct prefix of round lengths and per SNR."""
 
     M7 = ir_cfg(70, (1.0, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1))
-
-    def test_l13_at_m7_counts_11787_live_nodes(self):
-        model = fig4a_model()
-        adjacent = (np.asarray(model.transitions) > 0.0).astype(np.int64)
-        live, nodes = (np.asarray(model.q) > 0.0).astype(np.int64), 0
-        for _ in range(7):
-            nodes, live = nodes + live.sum(), live @ adjacent
-        assert nodes == 11_787  # 13 + 13^2 + ... + 13^7 is 68 M
-        A = prefix_error_grid(self.M7, [self.M7.taus], model)  # the default budget of 10 M
-        assert prefix_error_grid(self.M7, [self.M7.taus], model, path_budget=11_787).tolist() == A.tolist()
-        with pytest.raises(ResourceLimitError, match="needs 11787\\+ nodes for L=13, m=7"):
-            prefix_error_grid(self.M7, [self.M7.taus], model, path_budget=11_786)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 7])
     @pytest.mark.parametrize("chain", ["fig4a", "banded", "transient", "cycle"])
     def test_budget_boundary_is_the_live_path_count(self, chain, m):
-        # the live paths of each depth, counted by powers of the adjacency matrix: a budget of exactly
-        # their sum walks and gives the default budget's values, one node less is refused
+        # a budget of exactly the live paths' sum walks and gives the default budget's values, one node
+        # less is refused
         gamma = db_to_linear(-1.0)
         banded = [[0.5 * (i == j) + 0.25 * (abs(i - j) == 1) + 0.25 * (i == j and i in (0, 5)) for j in range(6)]
                   for i in range(6)]
@@ -239,31 +236,37 @@ class TestPathBudget:
             "transient": dataclasses.replace(uniform_chain(3, gamma, ((0.0, 0.5, 0.5),) * 3), q=(0.0, 0.5, 0.5)),
             "cycle": uniform_chain(5, gamma, tuple(tuple(float(j == (i + 1) % 5) for j in range(5)) for i in range(5))),
         }[chain]
-        adjacent = (np.asarray(model.transitions) > 0.0).astype(np.int64)
-        live, nodes = (np.asarray(model.q) > 0.0).astype(np.int64), 0
-        for _ in range(m):
-            nodes, live = nodes + int(live.sum()), live @ adjacent
-        cfg = ir_cfg(70, (1.0, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)[:m])
+        nodes = sum(live_paths(model, m))
+        if (chain, m) == ("fig4a", 7):
+            assert nodes == 11_787  # 13 + 13^2 + ... + 13^7 is 68 M
+        cfg = ir_cfg(70, self.M7.taus[:m])
         A = prefix_error_grid(cfg, [cfg.taus], model)
         assert prefix_error_grid(cfg, [cfg.taus], model, path_budget=nodes).tolist() == A.tolist()
         with pytest.raises(ResourceLimitError, match=f"needs {nodes}\\+ nodes for L={model.n_states}, m={m}"):
             prefix_error_grid(cfg, [cfg.taus], model, path_budget=nodes - 1)
 
     def test_each_distinct_prefix_counts_its_paths_again(self):
-        # a second candidate with its own tau1 holds a second carry for every path from depth 2 on
-        taus = [self.M7.taus, (1.0, 0.5, *self.M7.taus[2:])]
-        prefix_error_grid(self.M7, taus, fig4a_model(), path_budget=13 + 2 * (11_787 - 13))
-        with pytest.raises(ResourceLimitError, match="needs 23561\\+ nodes"):
-            prefix_error_grid(self.M7, taus, fig4a_model(), path_budget=23_560)
+        # a second candidate with its own tau1 holds a second carry for every path of depths 2 to m - 1
+        taus, live = [self.M7.taus, (1.0, 0.5, *self.M7.taus[2:])], live_paths(fig4a_model(), 7)
+        nodes = live[0] + 2 * sum(live[1:-1]) + live[-1]
+        prefix_error_grid(self.M7, taus, fig4a_model(), path_budget=nodes)
+        with pytest.raises(ResourceLimitError, match=f"needs {nodes}\\+ nodes"):
+            prefix_error_grid(self.M7, taus, fig4a_model(), path_budget=nodes - 1)
 
-    def test_each_snr_of_a_sweep_counts_its_paths_again(self):
-        # 13 + 37 live nodes at m = 2, for each of two SNRs
+    def test_fine_sweep_counts_prefixes_and_snrs_below_the_last_depth(self):
+        # m = 3 over the fine grid at 19 SNRs: 13 nodes for each SNR, 37 for each of 100 values of tau1
+        # and SNR, and the last depth's 107 live paths once, as its carries are dropped block by block
+        live = live_paths(fig4a_model(), 3)
+        nodes = 19 * live[0] + 100 * 19 * live[1] + live[2]
+        assert nodes == 70_654
+
         def problem(budget):
-            return OptimizationProblem(ir_cfg(70, (1.0, 1.0)), fig4a_model(), 0.01, (0.6,), path_budget=budget)
+            return OptimizationProblem(ir_cfg(70, (1.0, 1.0, 1.0)), fig4a_model(), 0.01, FINE_TAU_GRID,
+                                       path_budget=budget)
 
-        assert len(sweep(problem(100), (11.5, 12.5))) == 2
-        with pytest.raises(ResourceLimitError, match="needs 100\\+ nodes"):
-            sweep(problem(99), (11.5, 12.5))
+        assert len(sweep(problem(nodes), [10.0 + 0.25 * i for i in range(19)])) == 19
+        with pytest.raises(ResourceLimitError, match=f"needs {nodes}\\+ nodes"):
+            sweep(problem(nodes - 1), [10.0 + 0.25 * i for i in range(19)])
 
     def test_300_state_identity_chain_walks(self):
         # 900 live nodes, where a dense count would be 27 M; every path sees gamma
