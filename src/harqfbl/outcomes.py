@@ -22,8 +22,9 @@ builds, summed over the depths.  A node is a live state path; below the
 last depth it counts once per distinct prefix and SNR, one carry each,
 while the last depth drops its carries block by block.  Each depth's count
 (from the out-degrees of the states before it) is added before that depth
-is built, so a refused walk never builds the depth it refuses.  One candidate at one SNR on the 13-state model at m = 7 counts
-11,787 nodes, not the 13 + ... + 13^7 of a dense chain.  The sampled
+is built, so a refused walk never builds the depth it refuses.  One
+candidate at one SNR on the 13-state model at m = 7 counts 11,787 nodes,
+not the 13 + ... + 13^7 of a dense chain.  The sampled
 counterpart, montecarlo.simulate_harq on a model, needs no budget.
 telescope and throughput_grid turn A into (p, p_e) and throughput for all
 candidates at once; outcome_on and throughput are their one-candidate cases.
